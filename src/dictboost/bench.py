@@ -23,11 +23,11 @@ import time
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
-from .binning import BinnedDictionary, build_binning, pct_to_k
+from .binning import build_binning, pct_to_k
 from .core import KEY_BYTES, AccessDistribution, DictboostError, SortedKeySet, gap_stats
 from .dictionaries import DictionaryBuilder, parse_dict_specs
 from .forest import ForestSweep, optimize_over_k
-from .segments import SegmentedDictionary, build_segments
+from .segments import build_segments
 from .workloads import QueryWorkload
 
 SCHEMA_VERSION = 1
@@ -72,22 +72,6 @@ def measure_ns_per_query(
         if was_enabled:
             gc.enable()
     return statistics.median(samples) / len(queries)
-
-
-def _routing_probe(structure) -> Callable[[int], object] | None:
-    """A callable that does only the model-prediction stage of a query,
-    including the range guard, so its cost is comparable to rank_search."""
-    if isinstance(structure, (BinnedDictionary, SegmentedDictionary)):
-        lo = structure.keys.lo
-        hi = structure.keys.hi
-        route = structure.route
-
-        def probe(x: int):
-            if lo <= x <= hi:
-                route(x)
-
-        return probe
-    return None
 
 
 def _queries_of(workload) -> list:
@@ -197,24 +181,34 @@ def _specs(dict_specs) -> list[tuple[str, DictionaryBuilder]]:
     return list(dict_specs)
 
 
-def _measure_structure(structure, queries: list, repeats: int) -> tuple[float, float]:
-    """(mean_ns, prediction_ns); prediction capped at the mean so the
-    decomposition prediction + final == mean always holds."""
-    mean = measure_ns_per_query(structure.rank_search, queries, repeats)
-    probe = _routing_probe(structure)
-    pred = min(measure_ns_per_query(probe, queries, repeats), mean) if probe else 0.0
-    return mean, pred
+# family -> (build(keys, param, spec), structure -> (intervals, routing steps))
+_MODELS = {
+    "binning": (build_binning, lambda d: (d.k, 0)),
+    "segments": (build_segments, lambda d: (d.segment_count, d.routing_steps())),
+}
 
 
-def run_boost_sweep(
-    keys: SortedKeySet,
-    workload,
-    dict_specs,
-    pcts: Sequence[float] = DEFAULT_PCTS,
-    repeats: int = DEFAULT_REPEATS,
-    dataset_id: str = "dataset",
-) -> list[BenchRecord]:
-    """Plain baseline plus equal-width binning at each bin percentage."""
+def _measure_model(family: str, keys: SortedKeySet, param: int, spec, queries: list, repeats: int):
+    """Build one model configuration and time it: (structure, intervals,
+    routing_steps, mean_ns, prediction_ns).  The prediction is capped at
+    the mean so that the decomposition prediction + final == mean holds."""
+    build, shape = _MODELS[family]
+    d = build(keys, param, spec)
+    lo, hi, route = keys.lo, keys.hi, d.route
+
+    def routing_probe(x: int):
+        # the model-prediction stage of a query, range guard included, so
+        # that its cost is comparable to rank_search
+        if lo <= x <= hi:
+            route(x)
+
+    mean = measure_ns_per_query(d.rank_search, queries, repeats)
+    pred = min(measure_ns_per_query(routing_probe, queries, repeats), mean)
+    return (d, *shape(d), mean, pred)
+
+
+def _sweep(keys, workload, dict_specs, family, params, repeats, dataset_id) -> list[BenchRecord]:
+    """Per dictionary: the plain baseline, then ``family`` at each param."""
     queries = _queries_of(workload)
     n = len(keys)
     records: list[BenchRecord] = []
@@ -229,18 +223,31 @@ def run_boost_sweep(
                 100.0 * plain.overhead_bytes() / (KEY_BYTES * n), 1.0, sensitive,
             )
         )
-        for pct in pcts:
-            k = pct_to_k(n, pct)
-            d = build_binning(keys, k, (dict_id, builder))
-            mean, pred = _measure_structure(d, queries, repeats)
+        for param in params:
+            d, intervals, steps, mean, pred = _measure_model(
+                family, keys, param, (dict_id, builder), queries, repeats
+            )
             records.append(
                 BenchRecord(
-                    SCHEMA_VERSION, dataset_id, dict_id, "binning", float(k), k, 0,
+                    SCHEMA_VERSION, dataset_id, dict_id, family, float(param), intervals, steps,
                     mean, pred, mean - pred,
                     d.space_overhead_pct(), mean / plain_mean, sensitive,
                 )
             )
     return records
+
+
+def run_boost_sweep(
+    keys: SortedKeySet,
+    workload,
+    dict_specs,
+    pcts: Sequence[float] = DEFAULT_PCTS,
+    repeats: int = DEFAULT_REPEATS,
+    dataset_id: str = "dataset",
+) -> list[BenchRecord]:
+    """Plain baseline plus equal-width binning at each bin percentage."""
+    ks = [pct_to_k(len(keys), pct) for pct in pcts]
+    return _sweep(keys, workload, dict_specs, "binning", ks, repeats, dataset_id)
 
 
 def default_epsilons(n: int) -> list[int]:
@@ -259,33 +266,8 @@ def run_epsilon_sweep(
     dataset_id: str = "dataset",
 ) -> list[BenchRecord]:
     """Plain baseline plus epsilon-segmented versions per dictionary."""
-    queries = _queries_of(workload)
-    n = len(keys)
-    eps_grid = list(epsilons) if epsilons is not None else default_epsilons(n)
-    records: list[BenchRecord] = []
-    for dict_id, builder in _specs(dict_specs):
-        plain = builder(keys.as_list())
-        plain_mean = measure_ns_per_query(plain.rank_search, queries, repeats)
-        sensitive = dict_id == "splay"
-        records.append(
-            BenchRecord(
-                SCHEMA_VERSION, dataset_id, dict_id, "none", 0.0, 1, 0,
-                plain_mean, 0.0, plain_mean,
-                100.0 * plain.overhead_bytes() / (KEY_BYTES * n), 1.0, sensitive,
-            )
-        )
-        for eps in eps_grid:
-            d = build_segments(keys, eps, (dict_id, builder))
-            mean, pred = _measure_structure(d, queries, repeats)
-            records.append(
-                BenchRecord(
-                    SCHEMA_VERSION, dataset_id, dict_id, "segments", float(eps),
-                    d.segment_count, d.routing_steps(),
-                    mean, pred, mean - pred,
-                    d.space_overhead_pct(), mean / plain_mean, sensitive,
-                )
-            )
-    return records
+    eps_grid = list(epsilons) if epsilons is not None else default_epsilons(len(keys))
+    return _sweep(keys, workload, dict_specs, "segments", eps_grid, repeats, dataset_id)
 
 
 def delta_report(named_sets: Iterable[tuple[str, SortedKeySet]]) -> list[DeltaRow]:
@@ -341,21 +323,18 @@ def run_space_selection(
     n = len(keys)
     ks = sorted(set(k_grid if k_grid is not None else default_space_k_grid(n)))
     eps_list = sorted(set(eps_grid if eps_grid is not None else default_space_eps_grid(n)))
+    grids = {"binning": [k for k in ks if 1 <= k <= n], "segments": eps_list}
     # (family, dict_id, param, intervals, overhead_pct, mean_ns)
     measured: list[tuple[str, str, float, int, float, float]] = []
     for dict_id, builder in _specs(dict_specs):
-        for k in ks:
-            if not 1 <= k <= n:
-                continue
-            d = build_binning(keys, k, (dict_id, builder))
-            mean, _ = _measure_structure(d, queries, repeats)
-            measured.append(("binning", dict_id, float(k), k, d.space_overhead_pct(), mean))
-        for eps in eps_list:
-            s = build_segments(keys, eps, (dict_id, builder))
-            mean, _ = _measure_structure(s, queries, repeats)
-            measured.append(
-                ("segments", dict_id, float(eps), s.segment_count, s.space_overhead_pct(), mean)
-            )
+        for family, params in grids.items():
+            for param in params:
+                d, intervals, _, mean, _ = _measure_model(
+                    family, keys, param, (dict_id, builder), queries, repeats
+                )
+                measured.append(
+                    (family, dict_id, float(param), intervals, d.space_overhead_pct(), mean)
+                )
     rows: list[SpaceRow] = []
     for bound in bounds_pct:
         if bound <= 0:

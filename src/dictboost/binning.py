@@ -1,18 +1,21 @@
 """Equal-width binning: the simplest learned router over a sorted key set.
 
 The key range ``[A[0], A[n-1]]`` is cut into ``k`` equal-width bins.  A
-query computes its bin in O(1) integer arithmetic and delegates to a small
-dictionary holding just that bin's keys; a cumulative-rank table turns the
-in-bin answer into a global one and answers empty-bin queries directly.
-Out-of-range queries never touch a bin: they short-circuit to rank 0 or
-rank n.
+query computes its bin in O(1) integer arithmetic, and a cumulative-rank
+table turns the bin into a window ``[starts[b-1], starts[b])`` of the
+sorted key list.  The dictionary kind answers on that window with the
+global rank: the in-place kinds (``bbs``, ``bfs``, ``is``) search the one
+shared key list, the others a small dictionary of the bin's own.  An empty
+window answers with its start rank.  Out-of-range queries never touch a
+bin: they short-circuit to rank 0 or rank n.
 
 Bin ``b`` (1-based) covers keys ``x`` with
 ``upper(b-1) < x <= upper(b)`` where ``upper(b) = lo + floor(b*span/k)``,
 which is exactly the integer form of ``ceil((x-lo)*k/span) == b`` with the
-``x == lo`` case clamped into bin 1.  All boundary arithmetic is exact:
-intermediate products use arbitrary-precision ints (or a decomposed u64
-path when it provably fits), never floats.
+``x == lo`` case clamped into bin 1.  :class:`BinGeometry` holds all of
+this arithmetic, and it is exact: intermediate products use
+arbitrary-precision ints (or a decomposed u64 path when it provably
+fits), never floats.
 """
 
 from __future__ import annotations
@@ -21,32 +24,55 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    DictboostError,
-    KEY_BYTES,
-    SearchOutcome,
-    SortedKeySet,
-    SortedSetDictionary,
-)
-from .dictionaries import DictionaryBuilder, make_builder
+from .core import DictboostError, KEY_BYTES, SearchOutcome, SortedKeySet
+from .dictionaries import DictKind, window_searcher
 
 PER_BIN_HEADER_BYTES = 24  # dictionary pointer + start/end rank fields
+
+# b * r <= k * r stays below this in BinGeometry.uppers, so no u64 product
+# there can wrap; as r < k <= n, only a set of over 2**31 keys goes past it
+_U64_PRODUCT_LIMIT = 2**62
+
+
+class BinGeometry:
+    """``k`` equal-width bins over the closed key range ``[lo, hi]``."""
+
+    def __init__(self, lo: int, hi: int, k: int):
+        self.lo = lo
+        self.k = k
+        self.span = hi - lo
+
+    def bin_of(self, x: int) -> int:
+        """1-based bin of ``x``, for ``lo <= x <= hi``:
+        ``ceil((x - lo) * k / span)`` with the result 0 (only ``x == lo``)
+        clamped to 1.  A one-key range (span 0) is all bin 1."""
+        span = self.span or 1
+        b = ((x - self.lo) * self.k + span - 1) // span
+        return b or 1
+
+    def uppers(self) -> np.ndarray:
+        """``upper(b) = lo + floor(b * span / k)`` for ``b = 0..k``, as
+        uint64; bin ``b`` holds the keys in ``(upper(b-1), upper(b)]``."""
+        lo, k, span = self.lo, self.k, self.span
+        q, r = divmod(span, k)
+        if k * r < _U64_PRODUCT_LIMIT:
+            # lo + b*q + (b*r)//k: every term, and the sum (<= hi), fits in u64
+            b = np.arange(k + 1, dtype=np.uint64)
+            return np.uint64(lo) + b * np.uint64(q) + (b * np.uint64(r)) // np.uint64(k)
+        return np.fromiter(
+            (lo + (b * span) // k for b in range(k + 1)), dtype=np.uint64, count=k + 1
+        )
 
 
 def bin_index(keys: SortedKeySet, k: int, x: int) -> int:
     """1-based bin of ``x`` under ``k`` equal-width bins over ``keys``.
 
-    Requires ``lo <= x <= hi``.  ``ceil((x - lo) * k / span)`` with the
-    result 0 (only ``x == lo``) clamped to 1.
+    Requires ``lo <= x <= hi``.
     """
     lo, hi = keys.lo, keys.hi
     if not lo <= x <= hi:
         raise DictboostError(f"{x} outside key range [{lo}, {hi}]")
-    span = hi - lo
-    if span == 0:
-        return 1
-    b = ((x - lo) * k + span - 1) // span
-    return b if b else 1
+    return BinGeometry(lo, hi, k).bin_of(x)
 
 
 def bin_starts(keys: SortedKeySet, k: int) -> np.ndarray:
@@ -60,27 +86,10 @@ def bin_starts(keys: SortedKeySet, k: int) -> np.ndarray:
         raise DictboostError("cannot bin an empty key set")
     if not 1 <= k <= n:
         raise DictboostError(f"bin count {k} outside [1, n={n}]")
-    lo, hi = keys.lo, keys.hi
-    span = hi - lo
-    if span == 0 or k == 1:
-        starts = np.zeros(k + 1, dtype=np.int64)
-        starts[1:] = n
-        return starts
-    q, r = divmod(span, k)
-    b = np.arange(1, k + 1, dtype=np.uint64)
-    if k * r < 2**62:
-        # upper(b) = lo + b*q + (b*r)//k, every term fits in u64
-        uppers = np.uint64(lo) + b * np.uint64(q) + (b * np.uint64(r)) // np.uint64(k)
-    else:
-        uppers = np.fromiter(
-            (lo + (int(i) * span) // k for i in range(1, k + 1)),
-            dtype=np.uint64,
-            count=k,
-        )
-    ranks = np.searchsorted(keys.array, uppers, side="right")
+    uppers = BinGeometry(keys.lo, keys.hi, k).uppers()
     starts = np.empty(k + 1, dtype=np.int64)
     starts[0] = 0
-    starts[1:] = ranks
+    starts[1:] = np.searchsorted(keys.array, uppers[1:], side="right")
     return starts
 
 
@@ -90,80 +99,41 @@ def bin_occupancy(keys: SortedKeySet, k: int) -> np.ndarray:
 
 
 class BinnedDictionary:
-    """k equal-width bins, each backed by its own small dictionary.
+    """k equal-width bins, each answered on its window of the key list.
 
     Satisfies the same rank-search protocol as the bare dictionaries, so a
     ``BinnedDictionary`` with ``k == 1`` answers bit-identically to the
-    single inner dictionary it wraps.
+    plain dictionary over all the keys.
     """
 
-    def __init__(
-        self,
-        keys: SortedKeySet,
-        k: int,
-        starts: np.ndarray,
-        dicts: list[SortedSetDictionary | None],
-        dict_id: str,
-    ):
+    def __init__(self, keys: SortedKeySet, k: int, dict_kind: DictKind = "bbs"):
         self.keys = keys
         self.k = k
-        self.dict_id = dict_id
-        self._starts = [int(v) for v in starts]
-        self._dicts = dicts
+        self._starts = bin_starts(keys, k).tolist()
+        self.geometry = BinGeometry(keys.lo, keys.hi, k)
+        self._ks = keys._list  # the key set's cached list, searched in place
+        self.dict_id, self._searcher = window_searcher(dict_kind, self._ks, self._starts)
         self._lo = keys.lo
         self._hi = keys.hi
-        self._span = self._hi - self._lo
         self._n = len(keys)
 
-    # -- construction ---------------------------------------------------------
-
     @classmethod
-    def build(
-        cls,
-        keys: SortedKeySet,
-        k: int,
-        dict_kind: str | tuple[str, DictionaryBuilder] = "bbs",
-    ) -> "BinnedDictionary":
-        dict_id, builder = (
-            make_builder(dict_kind) if isinstance(dict_kind, str) else dict_kind
-        )
-        starts = bin_starts(keys, k)
-        ks = keys.as_list()
-        dicts: list[SortedSetDictionary | None] = [None] * k
-        loads = np.diff(starts)
-        for b in np.nonzero(loads)[0]:
-            s, e = int(starts[b]), int(starts[b + 1])
-            dicts[b] = builder(ks[s:e])
-        return cls(keys, k, starts, dicts, dict_id)
+    def build(cls, keys: SortedKeySet, k: int, dict_kind: DictKind = "bbs") -> "BinnedDictionary":
+        return cls(keys, k, dict_kind)
 
     # -- queries --------------------------------------------------------------
 
     def route(self, x: int) -> int:
         """O(1) model prediction: the 1-based bin for an in-range ``x``."""
-        span = self._span
-        if span == 0:
-            return 1
-        b = ((x - self._lo) * self.k + span - 1) // span
-        return b if b else 1
+        return self.geometry.bin_of(x)
 
     def rank_search(self, x: int) -> SearchOutcome:
         if x < self._lo:
             return SearchOutcome(0, False)
         if x > self._hi:
             return SearchOutcome(self._n, False)
-        span = self._span
-        if span:
-            b = ((x - self._lo) * self.k + span - 1) // span
-            if not b:
-                b = 1
-        else:
-            b = 1
-        inner = self._dicts[b - 1]
-        base = self._starts[b - 1]
-        if inner is None:
-            return SearchOutcome(base, False)
-        r, found = inner.rank_search(x)
-        return SearchOutcome(base + r, found)
+        b = self.geometry.bin_of(x)
+        return self._searcher.search(self._ks, x, self._starts[b - 1], self._starts[b])
 
     def __len__(self) -> int:
         return self._n
@@ -171,18 +141,15 @@ class BinnedDictionary:
     # -- accounting -----------------------------------------------------------
 
     def max_bin_load(self) -> int:
-        starts = self._starts
-        return max(starts[b + 1] - starts[b] for b in range(self.k))
+        return int(np.diff(self._starts).max())
 
     def empty_bins(self) -> int:
-        starts = self._starts
-        return sum(1 for b in range(self.k) if starts[b + 1] == starts[b])
+        return int(np.count_nonzero(np.diff(self._starts) == 0))
 
     def space_bytes(self) -> int:
-        """Model overhead only: per-bin headers plus whatever the inner
+        """Model overhead only: per-bin headers plus whatever per-bin
         dictionaries keep beyond one flat key array."""
-        inner = sum(d.overhead_bytes() for d in self._dicts if d is not None)
-        return PER_BIN_HEADER_BYTES * self.k + inner
+        return PER_BIN_HEADER_BYTES * self.k + self._searcher.overhead_bytes()
 
     def space_overhead_pct(self) -> float:
         return 100.0 * self.space_bytes() / (KEY_BYTES * self._n)
@@ -194,9 +161,7 @@ def pct_to_k(n: int, pct: float) -> int:
 
 
 def build_binning(
-    keys: SortedKeySet | Sequence[int],
-    k: int,
-    dict_kind: str | tuple[str, DictionaryBuilder] = "bbs",
+    keys: SortedKeySet | Sequence[int], k: int, dict_kind: DictKind = "bbs"
 ) -> BinnedDictionary:
     if not isinstance(keys, SortedKeySet):
         keys = SortedKeySet(keys)

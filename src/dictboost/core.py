@@ -21,6 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -80,6 +81,21 @@ class GapStats:
         return Fraction(self.g_max, self.g_min)
 
 
+def _u64_array(keys: Iterable[int] | np.ndarray) -> np.ndarray:
+    """``keys`` as a uint64 array, or :class:`InvalidKeySetError` for a
+    value that is not an integer in ``[0, MAX_KEY]``.  A uint64 array is
+    returned as it is, with no pass over its values."""
+    if isinstance(keys, np.ndarray) and keys.dtype == np.uint64:
+        return keys
+    values = keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
+    if not all(isinstance(v, Integral) for v in values):
+        raise InvalidKeySetError("keys must be integers")
+    try:
+        return np.asarray(values, dtype=np.uint64)
+    except OverflowError:
+        raise InvalidKeySetError(f"keys must lie in [0, {MAX_KEY}]") from None
+
+
 class SortedKeySet:
     """Immutable sorted sequence of distinct u64 keys.
 
@@ -97,7 +113,7 @@ class SortedKeySet:
         keys: Iterable[int] | np.ndarray,
         universe_hint: tuple[int, int] | None = None,
     ):
-        arr = np.asarray(keys, dtype=np.uint64)
+        arr = _u64_array(keys)
         if arr.ndim != 1:
             raise InvalidKeySetError("keys must be one-dimensional")
         if arr.size > 1 and not np.all(arr[1:] > arr[:-1]):
@@ -118,9 +134,9 @@ class SortedKeySet:
     ) -> tuple["SortedKeySet", int]:
         """Sort, deduplicate and wrap ``values``; also report the number of
         duplicates removed."""
-        arr = np.unique(np.asarray(values, dtype=np.uint64))
-        dupes = int(np.asarray(values).size - arr.size)
-        return cls(arr, universe_hint=universe_hint), dupes
+        raw = _u64_array(values)
+        arr = np.unique(raw)
+        return cls(arr, universe_hint=universe_hint), int(raw.size - arr.size)
 
     # -- container protocol -------------------------------------------------
 
@@ -150,8 +166,9 @@ class SortedKeySet:
 
     @cached_property
     def _list(self) -> list[int]:
-        # shared read-only cache; hand copies to callers, they do mutate
-        return [int(v) for v in self._arr]
+        # shared read-only cache, which the binned and segmented models
+        # search in place; hand copies to other callers, they do mutate
+        return self._arr.tolist()
 
     def as_list(self) -> list[int]:
         return list(self._list)

@@ -9,10 +9,17 @@ zero space overhead.  They differ only in how they walk it:
   count of ceil(log2 n), the shape compilers turn into conditional moves.
 * ``InterpolationSearch`` - probes at the linearly interpolated position;
   great on near-uniform gaps, degrades to a guarded scan otherwise.
+
+Each walk is a static ``search(keys, x, lo, hi)`` over the window
+``keys[lo:hi]`` of a sorted list.  It answers with the global rank, in
+``[lo, hi]``, and ``(lo, False)`` on an empty window.  ``rank_search`` is
+that search over the whole array, and the learned models run the same
+search over the window they route a query to, on one shared key list.
 """
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from typing import Sequence
 
 from ..core import KEY_BYTES, InvalidKeySetError, SearchOutcome, SortedSetDictionary
@@ -25,22 +32,42 @@ def _checked_keys(keys: Sequence[int]) -> list[int]:
     return ks
 
 
-class BranchyBinarySearch(SortedSetDictionary):
-    kind_id = "bbs"
+class _InPlaceSearch(SortedSetDictionary):
+    """One flat key list, searched by the subclass's window ``search``."""
 
     def __init__(self, keys: list[int]):
         self._keys = keys
 
     @classmethod
-    def build(cls, keys: Sequence[int]) -> "BranchyBinarySearch":
+    def build(cls, keys: Sequence[int]) -> "_InPlaceSearch":
         return cls(_checked_keys(keys))
+
+    @staticmethod
+    @abstractmethod
+    def search(keys: Sequence[int], x: int, lo: int, hi: int) -> SearchOutcome:
+        """Rank of ``x`` within the sorted window ``keys[lo:hi]``."""
 
     def __len__(self) -> int:
         return len(self._keys)
 
     def rank_search(self, x: int) -> SearchOutcome:
-        keys = self._keys
-        lo, hi = 0, len(keys)
+        return self.search(self._keys, x, 0, len(self._keys))
+
+    def space_bytes(self) -> int:
+        return KEY_BYTES * len(self._keys)
+
+    @staticmethod
+    def overhead_bytes() -> int:
+        """Nothing beyond the searched keys; static, so that the class
+        itself can stand for the windows of a shared key list."""
+        return 0
+
+
+class BranchyBinarySearch(_InPlaceSearch):
+    kind_id = "bbs"
+
+    @staticmethod
+    def search(keys: Sequence[int], x: int, lo: int, hi: int) -> SearchOutcome:
         while lo < hi:
             mid = (lo + hi) // 2
             v = keys[mid]
@@ -52,37 +79,25 @@ class BranchyBinarySearch(SortedSetDictionary):
                 return SearchOutcome(mid, True)
         return SearchOutcome(lo, False)
 
-    def space_bytes(self) -> int:
-        return KEY_BYTES * len(self._keys)
 
-
-class UniformBinarySearch(SortedSetDictionary):
+class UniformBinarySearch(_InPlaceSearch):
     """Branch-free binary search: every query halves a window exactly
     ceil(log2 n) times, regardless of the key."""
 
     kind_id = "bfs"
 
-    def __init__(self, keys: list[int]):
-        self._keys = keys
-
-    @classmethod
-    def build(cls, keys: Sequence[int]) -> "UniformBinarySearch":
-        return cls(_checked_keys(keys))
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def rank_search(self, x: int) -> SearchOutcome:
-        keys = self._keys
-        base, m = 0, len(keys)
+    @staticmethod
+    def search(keys: Sequence[int], x: int, lo: int, hi: int) -> SearchOutcome:
+        if lo == hi:
+            return SearchOutcome(lo, False)
+        base, m = lo, hi - lo
         while m > 1:
             half = m // 2
             if keys[base + half] < x:
                 base += half
             m -= half
         rank = base + (1 if keys[base] < x else 0)
-        n = len(keys)
-        return SearchOutcome(rank, rank < n and keys[rank] == x)
+        return SearchOutcome(rank, rank < hi and keys[rank] == x)
 
     def rank_search_with_steps(self, x: int) -> tuple[SearchOutcome, int]:
         """Same walk, also counting loop iterations (used by the tests to
@@ -100,26 +115,13 @@ class UniformBinarySearch(SortedSetDictionary):
         n = len(keys)
         return SearchOutcome(rank, rank < n and keys[rank] == x), steps
 
-    def space_bytes(self) -> int:
-        return KEY_BYTES * len(self._keys)
 
-
-class InterpolationSearch(SortedSetDictionary):
+class InterpolationSearch(_InPlaceSearch):
     kind_id = "is"
 
-    def __init__(self, keys: list[int]):
-        self._keys = keys
-
-    @classmethod
-    def build(cls, keys: Sequence[int]) -> "InterpolationSearch":
-        return cls(_checked_keys(keys))
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def rank_search(self, x: int) -> SearchOutcome:
-        keys = self._keys
-        lo, hi = 0, len(keys) - 1
+    @staticmethod
+    def search(keys: Sequence[int], x: int, lo: int, hi: int) -> SearchOutcome:
+        hi -= 1  # inclusive from here on
         while lo <= hi and keys[lo] <= x <= keys[hi]:
             if lo == hi:
                 return SearchOutcome(lo, keys[lo] == x)
@@ -132,10 +134,8 @@ class InterpolationSearch(SortedSetDictionary):
                 lo = pos + 1
             else:
                 hi = pos - 1
-        # Window invariant: keys[:lo] < x and keys[hi+1:] > x.
+        # Window invariant: x is above every key left of lo and below every
+        # key right of hi.
         if hi < lo or x < keys[lo]:
             return SearchOutcome(lo, False)
         return SearchOutcome(hi + 1, False)
-
-    def space_bytes(self) -> int:
-        return KEY_BYTES * len(self._keys)

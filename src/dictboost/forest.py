@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AccessDistribution, DictboostError, SortedKeySet, entropy
-from .binning import bin_starts
+from .binning import BinGeometry, bin_starts
 
 EXACT_MODE_MAX_N = 5000  # the quadratic DP table gets unreasonable past this
 
@@ -216,9 +216,7 @@ def bin_weights(keys: SortedKeySet, k: int, dist: AccessDistribution) -> BinAcce
     starts = bin_starts(keys, k)
     p = dist.p
     q = dist.q
-    lo, hi = keys.lo, keys.hi
-    span = hi - lo
-    uppers = [lo + (b * span) // k for b in range(k + 1)]
+    uppers = BinGeometry(keys.lo, keys.hi, k).uppers().tolist()
     loads = np.diff(starts)
 
     p_parts = [p[int(starts[b]):int(starts[b + 1])].copy() for b in range(k)]

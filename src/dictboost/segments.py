@@ -16,8 +16,11 @@ the segment is cut just before the first violation, which makes the eps
 guarantee unconditional rather than subject to rounding luck.
 
 Queries ignore the predictions entirely: a binary search over the
-segments' first keys picks the interval, and that segment's private
-dictionary answers.  One routing level, nothing recursive.
+segments' first keys picks the interval, and the dictionary kind answers
+on the segment's window ``[start_rank, end_rank)`` of the sorted key list:
+the in-place kinds (``bbs``, ``bfs``, ``is``) search the one shared key
+list, the others a dictionary of the segment's own.  One routing level,
+nothing recursive.
 """
 
 from __future__ import annotations
@@ -27,14 +30,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (
-    DictboostError,
-    KEY_BYTES,
-    SearchOutcome,
-    SortedKeySet,
-    SortedSetDictionary,
-)
-from .dictionaries import DictionaryBuilder, make_builder
+from .core import DictboostError, KEY_BYTES, SearchOutcome, SortedKeySet
+from .dictionaries import DictKind, window_searcher
 
 PER_SEGMENT_BYTES = 48  # routing key + (first_key, slope, intercept, start, end)
 
@@ -89,45 +86,29 @@ def _fit_segments(ks: list[int], eps: int) -> list[Segment]:
 
 class SegmentedDictionary:
     """Epsilon-segmented key set: route by first-key binary search, then
-    delegate to the segment's dictionary."""
+    answer on the segment's window of the key list."""
 
-    def __init__(
-        self,
-        keys: SortedKeySet,
-        eps: int,
-        segments: list[Segment],
-        dicts: list[SortedSetDictionary],
-        dict_id: str,
-    ):
+    def __init__(self, keys: SortedKeySet, eps: int, dict_kind: DictKind = "bbs"):
+        if eps < 0:
+            raise DictboostError(f"eps must be >= 0, got {eps}")
+        if not len(keys):
+            raise DictboostError("cannot segment an empty key set")
         self.keys = keys
-        self.eps = eps
-        self.segments = segments
-        self.dict_id = dict_id
-        self._dicts = dicts
-        self._firsts = [s.first_key for s in segments]
-        self._bases = [s.start_rank for s in segments]
+        self.eps = int(eps)
+        self._ks = keys._list  # the key set's cached list, searched in place
+        self.segments = _fit_segments(self._ks, self.eps)
+        self._firsts = [s.first_key for s in self.segments]
+        self._starts = [s.start_rank for s in self.segments] + [len(keys)]
+        self.dict_id, self._searcher = window_searcher(dict_kind, self._ks, self._starts)
         self._lo = keys.lo
         self._hi = keys.hi
         self._n = len(keys)
 
     @classmethod
     def build(
-        cls,
-        keys: SortedKeySet,
-        eps: int,
-        dict_kind: str | tuple[str, DictionaryBuilder] = "bbs",
+        cls, keys: SortedKeySet, eps: int, dict_kind: DictKind = "bbs"
     ) -> "SegmentedDictionary":
-        if eps < 0:
-            raise DictboostError(f"eps must be >= 0, got {eps}")
-        if not len(keys):
-            raise DictboostError("cannot segment an empty key set")
-        dict_id, builder = (
-            make_builder(dict_kind) if isinstance(dict_kind, str) else dict_kind
-        )
-        ks = keys.as_list()
-        segs = _fit_segments(ks, int(eps))
-        dicts = [builder(ks[s.start_rank:s.end_rank]) for s in segs]
-        return cls(keys, int(eps), segs, dicts, dict_id)
+        return cls(keys, eps, dict_kind)
 
     # -- queries --------------------------------------------------------------
 
@@ -141,8 +122,7 @@ class SegmentedDictionary:
         if x > self._hi:
             return SearchOutcome(self._n, False)
         idx = bisect_right(self._firsts, x) - 1
-        r, found = self._dicts[idx].rank_search(x)
-        return SearchOutcome(self._bases[idx] + r, found)
+        return self._searcher.search(self._ks, x, self._starts[idx], self._starts[idx + 1])
 
     def predict_rank(self, x: int) -> int:
         """Model prediction for diagnostics; queries never rely on it."""
@@ -163,7 +143,7 @@ class SegmentedDictionary:
 
     def max_residual(self) -> int:
         """Largest |prediction - rank| over all keys (<= eps by contract)."""
-        ks = self.keys.as_list()
+        ks = self._ks
         worst = 0
         for seg in self.segments:
             for j in range(seg.start_rank, seg.end_rank):
@@ -171,17 +151,14 @@ class SegmentedDictionary:
         return worst
 
     def space_bytes(self) -> int:
-        inner = sum(d.overhead_bytes() for d in self._dicts)
-        return PER_SEGMENT_BYTES * self.segment_count + inner
+        return PER_SEGMENT_BYTES * self.segment_count + self._searcher.overhead_bytes()
 
     def space_overhead_pct(self) -> float:
         return 100.0 * self.space_bytes() / (KEY_BYTES * self._n)
 
 
 def build_segments(
-    keys: SortedKeySet | Sequence[int],
-    eps: int,
-    dict_kind: str | tuple[str, DictionaryBuilder] = "bbs",
+    keys: SortedKeySet | Sequence[int], eps: int, dict_kind: DictKind = "bbs"
 ) -> SegmentedDictionary:
     if not isinstance(keys, SortedKeySet):
         keys = SortedKeySet(keys)

@@ -115,6 +115,14 @@ class TestBenchCommands:
         assert "nosuch" in err
         assert "bbs" in err and "splay" in err
 
+    def test_bad_dictionary_parameter_is_an_error_line(self, keyfile, capsys):
+        rc = main(["bench-boost", "--dataset", str(keyfile), "--dicts", "css:1",
+                   "--queries", "10", "--repeats", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "css:1" in err
+        assert "Traceback" not in err
+
     def test_delta_generated_sizes(self, tmp_path):
         out = tmp_path / "delta.csv"
         rc = main(["delta", "--sizes", "100,1000", "--seeds-per-size", "2",

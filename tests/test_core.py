@@ -89,6 +89,29 @@ class TestSortedKeySet:
         with pytest.raises(InvalidKeySetError):
             SortedKeySet([[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize("bad", [
+        [-1, 3],
+        [1, 2**64],
+        [1.5, 2.7],
+        [1.0, 2.0],
+        np.array([-1, 3]),
+        np.array([1.5, 2.7]),
+    ])
+    def test_rejects_values_that_are_not_u64_integers(self, bad):
+        with pytest.raises(InvalidKeySetError):
+            SortedKeySet(bad)
+        with pytest.raises(InvalidKeySetError):
+            SortedKeySet.from_unsorted(bad)
+
+    def test_accepts_every_u64_integer_input(self):
+        assert SortedKeySet([1, 2**63, MAX_KEY]).as_list() == [1, 2**63, MAX_KEY]
+        assert SortedKeySet(np.array([1, 5], dtype=np.int32)).as_list() == [1, 5]
+        assert SortedKeySet([np.uint64(3), 4]).as_list() == [3, 4]
+
+    def test_u64_array_is_taken_without_a_copy(self):
+        raw = np.array([2, 7, 9], dtype=np.uint64)
+        assert np.shares_memory(SortedKeySet(raw).array, raw)
+
     def test_from_unsorted_dedups_and_counts(self):
         sk, dupes = SortedKeySet.from_unsorted([5, 3, 5, 1, 3, 3])
         assert sk.as_list() == [1, 3, 5]

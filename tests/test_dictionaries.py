@@ -57,6 +57,17 @@ class TestRegistry:
         with pytest.raises(DictboostError):
             parse_dict_specs(" , ,")
 
+    @pytest.mark.parametrize("spec", ["bft:0", "bft:-3", "css:0", "css:1", "bbs:3", "splay:2"])
+    def test_out_of_range_or_unwanted_parameter_fails_at_parse_time(self, spec):
+        with pytest.raises(DictboostError) as exc:
+            make_builder(spec)
+        assert spec in str(exc.value)
+
+    def test_smallest_valid_parameters(self):
+        assert make_builder("bft:1")[0] == "bft:1"
+        assert make_builder("css:2")[0] == "css:2"
+        assert make_builder("bbs:")[0] == "bbs"
+
     def test_parse_preserves_order(self):
         ids = [kind for kind, _ in parse_dict_specs("splay, bbs ,bft:2")]
         assert ids == ["splay", "bbs", "bft:2"]

@@ -1,0 +1,143 @@
+"""Window search: the in-place kinds answer a model's query on a window of
+one shared key list, and building a model over them makes no dictionary.
+
+Every answer is checked against ``np.searchsorted`` (through ``bulk_rank``
+or directly on the window), never against another search of this package.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from dictboost import binning
+from dictboost.binning import BinGeometry, bin_starts, build_binning
+from dictboost.core import MAX_KEY, SearchOutcome, SortedKeySet
+from dictboost.dictionaries import (
+    WINDOW_SEARCHES,
+    BlockTreeSearch,
+    CssTreeSearch,
+    EytzingerSearch,
+    SplayTreeDictionary,
+)
+from dictboost.segments import build_segments
+from dictboost.workloads import gen_clustered
+
+from conftest import assert_matches_oracle, mixed_queries
+
+WINDOWED = sorted(WINDOW_SEARCHES)
+
+
+def _models(keys, kind):
+    """Binned and segmented structures over ``keys`` for one dictionary kind."""
+    n = len(keys)
+    for k in sorted({1, 2, 3, max(1, n // 4), n}):
+        yield f"binning k={k}", build_binning(keys, k, kind)
+    for eps in (0, 1, 4, max(1, n // 2)):
+        yield f"segments eps={eps}", build_segments(keys, eps, kind)
+
+
+def _u64_extreme_keys():
+    rng = np.random.default_rng(17)
+    inner = rng.integers(1, MAX_KEY - 1, size=200, dtype=np.uint64)
+    fixed = np.array([0, 1, 2, 2**63, MAX_KEY - 1, MAX_KEY], dtype=np.uint64)
+    return SortedKeySet(np.unique(np.concatenate([fixed, inner])))
+
+
+def _extreme_queries(keys):
+    return mixed_queries(keys, 400, seed=18) + [0, 1, 3, 2**63 - 1, 2**63 + 1, MAX_KEY - 2,
+                                                MAX_KEY - 1, MAX_KEY]
+
+
+@pytest.mark.parametrize("kind", WINDOWED)
+class TestAgainstSearchsorted:
+    def test_keys_at_zero_and_max_u64(self, kind):
+        keys = _u64_extreme_keys()
+        queries = _extreme_queries(keys)
+        for label, d in _models(keys, kind):
+            assert d.dict_id == kind, label
+            assert_matches_oracle(d, keys, queries)
+
+    def test_exact_boundary_fallback(self, kind, monkeypatch):
+        """The exact-int path of the bin boundaries runs only when
+        ``k * r >= 2**62``; as ``r < k <= n`` that needs over 2**31 keys, so
+        the limit is lowered here to force it on a span of nearly 2**64."""
+        keys = _u64_extreme_keys()
+        fast = {k: bin_starts(keys, k).tolist() for k in (2, 3, 7, 64, len(keys))}
+        monkeypatch.setattr(binning, "_U64_PRODUCT_LIMIT", 0)
+        queries = _extreme_queries(keys)
+        for k, want in fast.items():
+            exact = bin_starts(keys, k).tolist()
+            span = keys.hi - keys.lo
+            by_formula = [0] + [
+                int(np.searchsorted(keys.array, np.uint64(keys.lo + (b * span) // k), "right"))
+                for b in range(1, k + 1)
+            ]
+            assert exact == want == by_formula, f"k={k}"
+            assert_matches_oracle(build_binning(keys, k, kind), keys, queries)
+
+    def test_clustered_keys_at_k_equals_n_leave_most_windows_empty(self, kind):
+        keys = gen_clustered(3000, outlier_fraction=0.001, seed=4)
+        d = build_binning(keys, len(keys), kind)
+        assert d.empty_bins() / d.k > 0.9
+        # every key, and the gap just above it, so that queries land in the
+        # empty windows between the clusters too
+        queries = mixed_queries(keys, 2000, seed=5) + [x + 1 for x in keys.as_list()[::7]]
+        assert_matches_oracle(d, keys, queries)
+
+
+@pytest.mark.parametrize("kind", WINDOWED)
+def test_window_search_contract(kind):
+    """Over every window of a small list: an empty window gives (lo, False),
+    the rank always lies in [lo, hi], and it equals searchsorted on the
+    window, shifted by lo."""
+    search = WINDOW_SEARCHES[kind].search
+    keys = [0, 3, 4, 9, 20, 21, 22, 40, 77, 78, 1000, MAX_KEY]
+    arr = np.array(keys, dtype=np.uint64)
+    probes = sorted({0, 1, 2, 5, 10, 19, 23, 39, 41, 76, 79, 999, 1001, MAX_KEY - 1, MAX_KEY}
+                    | set(keys))
+    for lo in range(len(keys) + 1):
+        assert search(keys, 5, lo, lo) == SearchOutcome(lo, False)
+        for hi in range(lo, len(keys) + 1):
+            for x in probes:
+                got = search(keys, x, lo, hi)
+                assert lo <= got.rank <= hi
+                want = lo + int(np.searchsorted(arr[lo:hi], np.uint64(x), side="left"))
+                assert got == (want, want < hi and keys[want] == x), (lo, hi, x)
+
+
+def test_geometry_uppers_are_the_exact_boundaries():
+    for lo, hi, k in [(0, MAX_KEY, 5), (7, 7, 1), (MAX_KEY, MAX_KEY, 1), (10, 1000, 999)]:
+        span = hi - lo
+        assert BinGeometry(lo, hi, k).uppers().tolist() == [
+            lo + (b * span) // k for b in range(k + 1)
+        ]
+
+
+_ALL_CLASSES = [*WINDOW_SEARCHES.values(), EytzingerSearch, BlockTreeSearch, CssTreeSearch,
+                SplayTreeDictionary]
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Counts dictionary instances by class name while a test runs."""
+    counts = Counter()
+    for cls in _ALL_CLASSES:
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            counts[type(self).__name__] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+def test_windowed_models_build_no_dictionaries(constructed):
+    keys = SortedKeySet(np.unique(np.random.default_rng(3).integers(0, 10**6, 500)))
+    for kind in WINDOWED:
+        for label, d in _models(keys, kind):
+            assert sum(constructed.values()) == 0, f"{kind} {label}: {dict(constructed)}"
+            assert d.rank_search(keys[7]) == (7, True)
+    binned = build_binning(keys, 100, "bfe")
+    assert constructed["EytzingerSearch"] == 100 - binned.empty_bins()
+    segmented = build_segments(keys, 2, "bfe")
+    assert constructed["EytzingerSearch"] == 100 - binned.empty_bins() + segmented.segment_count
