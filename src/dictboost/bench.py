@@ -189,28 +189,31 @@ _MODELS = {
 
 
 def _measure_model(family: str, keys: SortedKeySet, param: int, spec, queries: list, repeats: int):
-    """Build one model configuration and time it: (structure, intervals,
-    routing_steps, mean_ns, prediction_ns).  The prediction is capped at
-    the mean so that the decomposition prediction + final == mean holds."""
+    """Build one model configuration and time its queries: (structure,
+    intervals, routing_steps, mean_ns)."""
     build, shape = _MODELS[family]
     d = build(keys, param, spec)
-    lo, hi, route = keys.lo, keys.hi, d.route
+    return (d, *shape(d), measure_ns_per_query(d.rank_search, queries, repeats))
 
-    def routing_probe(x: int):
-        # the model-prediction stage of a query, range guard included, so
-        # that its cost is comparable to rank_search
+
+def _routing_probe(route: Callable[[int], int], lo: int, hi: int) -> Callable[[int], None]:
+    """The model-prediction stage of a query, range guard included, so that
+    its cost is comparable to rank_search."""
+
+    def probe(x: int) -> None:
         if lo <= x <= hi:
             route(x)
 
-    mean = measure_ns_per_query(d.rank_search, queries, repeats)
-    pred = min(measure_ns_per_query(routing_probe, queries, repeats), mean)
-    return (d, *shape(d), mean, pred)
+    return probe
 
 
 def _sweep(keys, workload, dict_specs, family, params, repeats, dataset_id) -> list[BenchRecord]:
-    """Per dictionary: the plain baseline, then ``family`` at each param."""
+    """Per dictionary: the plain baseline, then ``family`` at each param.
+    The prediction time is capped at the mean so that the decomposition
+    prediction + final == mean holds."""
     queries = _queries_of(workload)
     n = len(keys)
+    lo, hi = keys.lo, keys.hi
     records: list[BenchRecord] = []
     for dict_id, builder in _specs(dict_specs):
         plain = builder(keys.as_list())
@@ -224,9 +227,11 @@ def _sweep(keys, workload, dict_specs, family, params, repeats, dataset_id) -> l
             )
         )
         for param in params:
-            d, intervals, steps, mean, pred = _measure_model(
+            d, intervals, steps, mean = _measure_model(
                 family, keys, param, (dict_id, builder), queries, repeats
             )
+            probe = _routing_probe(d.route, lo, hi)
+            pred = min(measure_ns_per_query(probe, queries, repeats), mean)
             records.append(
                 BenchRecord(
                     SCHEMA_VERSION, dataset_id, dict_id, family, float(param), intervals, steps,
@@ -329,7 +334,7 @@ def run_space_selection(
     for dict_id, builder in _specs(dict_specs):
         for family, params in grids.items():
             for param in params:
-                d, intervals, _, mean, _ = _measure_model(
+                d, intervals, _, mean = _measure_model(
                     family, keys, param, (dict_id, builder), queries, repeats
                 )
                 measured.append(

@@ -51,12 +51,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _numbers(text: str, sep: str, kind: type) -> list:
+    """The ``sep``-separated numbers in ``text``; a non-number is a usage
+    error, not a traceback."""
+    try:
+        return [kind(v) for v in text.split(sep) if v.strip()]
+    except ValueError:
+        raise UsageError(
+            f"expected a {sep!r}-separated list of {kind.__name__}s, got {text!r}"
+        ) from None
+
+
 def _csv_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    return _numbers(text, ",", float)
 
 
 def _csv_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    return _numbers(text, ",", int)
 
 
 def _out_stream(path: str | None):
@@ -251,7 +262,7 @@ def cmd_dyn_stream(args) -> int:
     if args.adversarial:
         stream = gen_adversarial_stream(initial, args.ops, args.seed)
     else:
-        mix = tuple(float(v) for v in args.mix.split(":"))
+        mix = tuple(_numbers(args.mix, ":", float))
         if len(mix) != 3:
             raise UsageError(f"--mix wants i:d:s, got {args.mix!r}")
         stream = gen_uniform_stream(initial, args.ops, mix, args.seed)

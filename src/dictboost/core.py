@@ -102,6 +102,8 @@ class SortedKeySet:
     Keys are canonically held in a read-only numpy array for vector work
     (generation, file IO, bulk oracles); ``as_list()`` exposes a cached
     plain-int view that the hand-written search loops index much faster.
+    A writable uint64 array passed in is copied, so the caller may go on
+    writing to it; a read-only one is kept as it is.
 
     ``universe_hint`` optionally records the closed universe ``[lo, hi]``
     the keys were drawn from, which the query generators use to sample
@@ -114,6 +116,9 @@ class SortedKeySet:
         universe_hint: tuple[int, int] | None = None,
     ):
         arr = _u64_array(keys)
+        if arr is keys and arr.flags.writeable:
+            # the caller's own array: keep a copy, and leave theirs writable
+            arr = arr.copy()
         if arr.ndim != 1:
             raise InvalidKeySetError("keys must be one-dimensional")
         if arr.size > 1 and not np.all(arr[1:] > arr[:-1]):
@@ -136,6 +141,7 @@ class SortedKeySet:
         duplicates removed."""
         raw = _u64_array(values)
         arr = np.unique(raw)
+        arr.setflags(write=False)  # a fresh array: no copy needed
         return cls(arr, universe_hint=universe_hint), int(raw.size - arr.size)
 
     # -- container protocol -------------------------------------------------

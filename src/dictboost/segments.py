@@ -15,6 +15,17 @@ re-verified against every member with the exact query-time formula and
 the segment is cut just before the first violation, which makes the eps
 guarantee unconditional rather than subject to rounding luck.
 
+The fit is one pass, chunked.  A segment's first few dozen candidates are
+taken one at a time in Python, so short segments (small eps) pay no numpy
+call overhead.  Past that head the candidates go to numpy in doubling
+chunks: each chunk's bounds ``(off -+ eps) / d`` come from one division,
+the running interval from ``maximum.accumulate`` / ``minimum.accumulate``
+seeded with the carried ends, and the closing point is the first index
+where they cross; the re-verification of a long segment is one vector
+pass too.  The floats are bit for bit those of the one-key-at-a-time loop:
+numpy evaluates only distances up to 2**53, which a float64 holds exactly,
+and leaves the rest of a segment wider than that to the scalar loop.
+
 Queries ignore the predictions entirely: a binary search over the
 segments' first keys picks the interval, and the dictionary kind answers
 on the segment's window ``[start_rank, end_rank)`` of the sorted key list:
@@ -30,10 +41,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import DictboostError, KEY_BYTES, SearchOutcome, SortedKeySet
 from .dictionaries import DictKind, window_searcher
 
 PER_SEGMENT_BYTES = 48  # routing key + (first_key, slope, intercept, start, end)
+_SCALAR_HEAD = 32  # candidates per segment grown in Python before numpy takes over
+_FIRST_CHUNK = 256  # first numpy chunk; each next one is twice as long
+_EXACT_SPAN = 2**53  # every integer up to it is exact in a float64
 
 
 @dataclass(frozen=True)
@@ -51,37 +67,122 @@ class Segment:
         return self.end_rank - self.start_rank
 
 
-def _fit_segments(ks: list[int], eps: int) -> list[Segment]:
-    n = len(ks)
+def _fit_segments(ks: SortedKeySet | Sequence[int] | np.ndarray, eps: int) -> list[Segment]:
+    """Greedy shrinking-cone segments of the sorted keys ``ks``.
+
+    ``ks`` is a key set, whose array and cached list are used as they are,
+    or sorted distinct keys as a uint64 array or a list of ints.  Every
+    multi-member slope is > 0: the upper end ``hi`` is ``(off_h + eps) /
+    d_h`` for some member ``h`` and ``lo >= (off_h - eps) / d_h``, so ``lo +
+    hi >= 2 * off_h / d_h > 0`` (each quotient is rounded by at most 2**-53
+    of itself, which cannot flip that sign while eps < 2**53).
+    """
+    if isinstance(ks, SortedKeySet):
+        arr, keys = ks.array, ks._list
+    else:
+        arr = np.ascontiguousarray(ks, dtype=np.uint64)
+        keys = memoryview(arr)  # Python ints for the scalar steps, with no list copy
+    n = len(keys)
     segs: list[Segment] = []
     i = 0
     while i < n:
-        x0 = ks[i]
+        x0 = keys[i]
         slope_lo, slope_hi = -math.inf, math.inf
-        j = i + 1
-        while j < n:
-            d = ks[j] - x0
-            lo = max(slope_lo, (j - eps - i) / d)
-            hi = min(slope_hi, (j + eps - i) / d)
-            if lo > hi:
-                # j does not fit; keep the interval of the accepted members
-                # so the midpoint stays feasible for them
+        # the scalar steps stay inline: a call per segment would cost about
+        # as much as a small-eps segment's whole fit
+        j, stop = i + 1, min(n, i + 1 + _SCALAR_HEAD)
+        while True:
+            while j < stop:
+                d = keys[j] - x0
+                lo = max(slope_lo, (j - eps - i) / d)
+                hi = min(slope_hi, (j + eps - i) / d)
+                if lo > hi:
+                    # j does not fit; keep the interval of the accepted
+                    # members so the midpoint stays feasible for them
+                    break
+                slope_lo, slope_hi = lo, hi
+                j += 1
+            if j < stop or j == n:
                 break
-            slope_lo, slope_hi = lo, hi
-            j += 1
+            # the head fit whole: numpy takes the candidates whose distance
+            # is exact, and this loop the rest
+            exact = max(j, _exact_stop(arr, i, n, eps))
+            j, slope_lo, slope_hi = _shrink_chunks(arr, i, j, exact, eps, slope_lo, slope_hi)
+            if j < exact:
+                break
+            stop = n
         # after one member both interval ends are finite; a lone anchor
         # predicts its own rank regardless of slope
         slope = 0.0 if j == i + 1 else (slope_lo + slope_hi) / 2.0
         # float re-verification with the query-time formula; cut before the
         # first member the rounded prediction misses by more than eps
         end = j
-        for v in range(i + 1, j):
-            if abs(math.floor(slope * (ks[v] - x0)) + i - v) > eps:
+        numpy_end = i + 1  # members below it are checked in numpy
+        if j - numpy_end > _SCALAR_HEAD:
+            numpy_end = max(numpy_end, _exact_stop(arr, i, j, eps))
+            miss = _first_miss(arr, i, numpy_end, slope, eps)
+            if miss < numpy_end:
+                end = miss
+        for v in range(numpy_end, end):
+            if abs(math.floor(slope * (keys[v] - x0)) + i - v) > eps:
                 end = v
                 break
         segs.append(Segment(x0, slope, float(i), i, end))
         i = end
     return segs
+
+
+def _shrink_chunks(arr: np.ndarray, i: int, j: int, stop: int, eps: int, lo: float, hi: float):
+    """The scalar cone steps of ``_fit_segments`` for the candidates ``[j,
+    stop)`` of the segment anchored at rank ``i``, in numpy over doubling
+    chunks: ``(j, lo, hi)`` with ``j`` the first candidate that does not fit
+    (``stop`` if all do) and the interval of the members before it.
+
+    Below ``_exact_stop`` every distance and offset is an exact float64, so
+    each bound is the correctly rounded quotient the scalar division gives.
+    """
+    size = _FIRST_CHUNK
+    while j < stop:
+        b = min(stop, j + size)
+        d = (arr[j:b] - arr[i]).astype(np.float64)
+        run_lo = np.arange(j - i - eps, b - i - eps, dtype=np.float64) / d
+        run_hi = np.arange(j - i + eps, b - i + eps, dtype=np.float64) / d
+        run_lo[0] = max(run_lo[0], lo)  # seed with the carried interval
+        run_hi[0] = min(run_hi[0], hi)
+        np.maximum.accumulate(run_lo, out=run_lo)
+        np.minimum.accumulate(run_hi, out=run_hi)
+        cross = np.flatnonzero(run_lo > run_hi)
+        if cross.size:
+            k = int(cross[0])
+            if k:
+                lo, hi = float(run_lo[k - 1]), float(run_hi[k - 1])
+            return j + k, lo, hi
+        j, lo, hi = b, float(run_lo[-1]), float(run_hi[-1])
+        size *= 2
+    return j, lo, hi
+
+
+def _first_miss(arr: np.ndarray, i: int, stop: int, slope: float, eps: int) -> int:
+    """The first member in ``[i + 1, stop)`` whose floor-rounded prediction
+    misses its rank by more than ``eps``, or ``stop``; numpy, below
+    ``_exact_stop``."""
+    d = (arr[i + 1:stop] - arr[i]).astype(np.float64)
+    off = np.arange(1, stop - i, dtype=np.float64)
+    miss = np.flatnonzero(np.abs(np.floor(slope * d) - off) > eps)
+    return i + 1 + int(miss[0]) if miss.size else stop
+
+
+def _exact_stop(arr: np.ndarray, i: int, stop: int, eps: int) -> int:
+    """End of the candidates in ``[i + 1, stop)`` that numpy may evaluate:
+    those at most 2**53 from the anchor, so that every distance, and every
+    offset ``+- eps``, is an exact float64.  Past it a float64 division would
+    round the distance first, where Python's int division rounds once."""
+    if arr.size + eps > _EXACT_SPAN:
+        return i + 1
+    x0 = int(arr[i])
+    if int(arr[stop - 1]) - x0 <= _EXACT_SPAN:
+        return stop
+    return int(np.searchsorted(arr, np.uint64(x0 + _EXACT_SPAN), side="right"))
 
 
 class SegmentedDictionary:
@@ -96,7 +197,7 @@ class SegmentedDictionary:
         self.keys = keys
         self.eps = int(eps)
         self._ks = keys._list  # the key set's cached list, searched in place
-        self.segments = _fit_segments(self._ks, self.eps)
+        self.segments = _fit_segments(keys, self.eps)
         self._firsts = [s.first_key for s in self.segments]
         self._starts = [s.start_rank for s in self.segments] + [len(keys)]
         self.dict_id, self._searcher = window_searcher(dict_kind, self._ks, self._starts)
@@ -142,13 +243,14 @@ class SegmentedDictionary:
         return math.ceil(math.log2(self.segment_count)) if self.segment_count > 1 else 0
 
     def max_residual(self) -> int:
-        """Largest |prediction - rank| over all keys (<= eps by contract)."""
-        ks = self._ks
-        worst = 0
-        for seg in self.segments:
-            for j in range(seg.start_rank, seg.end_rank):
-                worst = max(worst, abs(seg.predict_rank(ks[j]) - j))
-        return worst
+        """Largest |prediction - rank| over all keys (<= eps by contract),
+        by ``Segment.predict_rank``'s float formula over whole arrays."""
+        lens = np.diff(self._starts)
+        first = np.repeat(np.array(self._firsts, dtype=np.uint64), lens)
+        slope = np.repeat([s.slope for s in self.segments], lens)
+        intercept = np.repeat([s.intercept for s in self.segments], lens)
+        pred = np.floor(slope * (self.keys.array - first).astype(np.float64) + intercept)
+        return int(np.abs(pred - np.arange(self._n)).max())
 
     def space_bytes(self) -> int:
         return PER_SEGMENT_BYTES * self.segment_count + self._searcher.overhead_bytes()

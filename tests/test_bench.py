@@ -172,6 +172,24 @@ class TestSpaceSelection:
         assert all(r.status == "infeasible" for r in rows)
         assert {r.family for r in rows} == {"binning", "segments"}
 
+    def test_one_timing_per_configuration(self, small_bench, monkeypatch):
+        """Space selection ranks by query time alone, so it times nothing
+        else: no routing probe, no plain baseline."""
+        from dictboost import bench
+
+        timed = []
+
+        def spy(search, queries, repeats=1, warmup=1):
+            timed.append(search)
+            return 1.0
+
+        monkeypatch.setattr(bench, "measure_ns_per_query", spy)
+        keys, wl = small_bench
+        run_space_selection(keys, wl, "bbs,bfe", bounds_pct=[5.0],
+                            k_grid=[1, 4, 16], eps_grid=[1, 16], repeats=1)
+        assert len(timed) == 2 * (3 + 2)  # dictionaries x (k grid + eps grid)
+        assert all(getattr(s, "__name__", "") == "rank_search" for s in timed)
+
     def test_nonpositive_bound_rejected(self, small_bench):
         keys, wl = small_bench
         with pytest.raises(DictboostError):

@@ -246,3 +246,23 @@ class TestDynStream:
                    "--mix", "1:2"])
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
+
+
+class TestNumberLists:
+    @pytest.mark.parametrize("argv", [
+        ["bench-boost", "--dataset", "KEYS", "--pcts", "abc"],
+        ["bench-boost", "--dataset", "KEYS", "--pcts", "10,1e"],
+        ["bench-epsilon", "--dataset", "KEYS", "--epsilons", "x"],
+        ["bench-epsilon", "--dataset", "KEYS", "--epsilons", "4,2.5"],
+        ["space", "--dataset", "KEYS", "--k-grid", "4,x"],
+        ["space", "--dataset", "KEYS", "--eps-grid", "one"],
+        ["space", "--dataset", "KEYS", "--bounds", "0.05,%"],
+        ["dyn-stream", "--initial", "KEYS", "--ops", "10", "--mix", "a:b:c"],
+        ["delta", "--sizes", "100,n"],
+    ])
+    def test_non_numbers_are_one_usage_error_line(self, keyfile, capsys, argv):
+        assert main([str(keyfile) if a == "KEYS" else a for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert err.count("\n") == 1
+        assert repr(argv[-1]) in err

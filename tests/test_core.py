@@ -108,9 +108,24 @@ class TestSortedKeySet:
         assert SortedKeySet(np.array([1, 5], dtype=np.int32)).as_list() == [1, 5]
         assert SortedKeySet([np.uint64(3), 4]).as_list() == [3, 4]
 
-    def test_u64_array_is_taken_without_a_copy(self):
+    def test_read_only_u64_array_is_taken_without_a_copy(self):
         raw = np.array([2, 7, 9], dtype=np.uint64)
-        assert np.shares_memory(SortedKeySet(raw).array, raw)
+        raw.setflags(write=False)
+        assert SortedKeySet(raw).array is raw
+
+    def test_callers_writable_array_stays_writable_and_apart(self):
+        raw = np.array([2, 7, 9], dtype=np.uint64)
+        sk = SortedKeySet(raw)
+        assert raw.flags.writeable
+        raw[0] = 1
+        raw[2] = 100
+        assert sk.as_list() == [2, 7, 9]
+        assert not sk.array.flags.writeable
+        raw = np.array([9, 2, 9], dtype=np.uint64)
+        sk, dupes = SortedKeySet.from_unsorted(raw)
+        raw[0] = 0
+        assert sk.as_list() == [2, 9]
+        assert dupes == 1
 
     def test_from_unsorted_dedups_and_counts(self):
         sk, dupes = SortedKeySet.from_unsorted([5, 3, 5, 1, 3, 3])

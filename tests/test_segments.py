@@ -6,13 +6,17 @@ windows rely on.  Routing correctness is checked against the oracle
 separately since queries never consult the predictions.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictboost.core import DictboostError, SearchOutcome, SortedKeySet
-from dictboost.segments import SegmentedDictionary, build_segments
+from dictboost import segments
+from dictboost.core import MAX_KEY, DictboostError, SearchOutcome, SortedKeySet
+from dictboost.segments import Segment, SegmentedDictionary, _fit_segments, build_segments
 
 from conftest import TEN_KEYS, assert_matches_oracle, bulk_rank, mixed_queries
 
@@ -22,6 +26,72 @@ def residuals(d: SegmentedDictionary) -> list[int]:
     return [abs(seg.predict_rank(ks[j]) - j)
             for seg in d.segments
             for j in range(seg.start_rank, seg.end_rank)]
+
+
+def reference_fit(ks: list[int], eps: int) -> list[Segment]:
+    """The one-key-at-a-time greedy loop, kept as the mirror the chunked
+    ``_fit_segments`` must equal float for float."""
+    n = len(ks)
+    segs: list[Segment] = []
+    i = 0
+    while i < n:
+        x0 = ks[i]
+        slope_lo, slope_hi = -math.inf, math.inf
+        j = i + 1
+        while j < n:
+            d = ks[j] - x0
+            lo = max(slope_lo, (j - eps - i) / d)
+            hi = min(slope_hi, (j + eps - i) / d)
+            if lo > hi:
+                break
+            slope_lo, slope_hi = lo, hi
+            j += 1
+        slope = 0.0 if j == i + 1 else (slope_lo + slope_hi) / 2.0
+        end = j
+        for v in range(i + 1, j):
+            if abs(math.floor(slope * (ks[v] - x0)) + i - v) > eps:
+                end = v
+                break
+        segs.append(Segment(x0, slope, float(i), i, end))
+        i = end
+    return segs
+
+
+def bits(segs: list[Segment]) -> list[tuple]:
+    """Segments with the slope as its exact bit pattern (``==`` alone
+    would let 0.0 and -0.0 pass for each other)."""
+    return [(s.first_key, s.slope.hex(), s.intercept, s.start_rank, s.end_rank) for s in segs]
+
+
+def u64_extreme_keys(seed: int) -> np.ndarray:
+    """Keys at 0 and 2**64 - 1, a sprinkle over the whole range, and
+    jittered runs whose steps reach 2**50, so that segments span more than
+    2**53 (where a float64 no longer holds every distance)."""
+    rng = np.random.default_rng(seed)
+    parts = [np.array([0, MAX_KEY], dtype=np.uint64),
+             rng.integers(0, MAX_KEY, 200, dtype=np.uint64, endpoint=True)]
+    for step, count in [(1, 900), (2**20, 700), (2**50, 4000)]:
+        start = int(rng.integers(0, MAX_KEY - 2 * step * count, dtype=np.uint64))
+        jitter = rng.integers(0, step // 4 + 1, count, dtype=np.uint64)
+        parts.append(np.uint64(start) + np.arange(count, dtype=np.uint64) * np.uint64(step) + jitter)
+    parts.append(np.uint64(MAX_KEY - 5000) + np.arange(0, 5000, 3, dtype=np.uint64))
+    return np.unique(np.concatenate(parts))
+
+
+def fit_key_sets() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(31)
+    return {
+        "uniform": np.unique(rng.integers(0, 2**44, 20_000, dtype=np.uint64)),
+        "clustered": np.unique(np.concatenate([
+            rng.integers(0, 4 * 10**9, 20, dtype=np.uint64),
+            rng.integers(2 * 10**9, 2 * 10**9 + 80_000, 20_000, dtype=np.uint64),
+        ])),
+        "u64-extremes-1": u64_extreme_keys(1),
+        "u64-extremes-2": u64_extreme_keys(2),
+        # at eps = 0 the slope 1/49 rounds down, floor(slope * 49) == 0, and
+        # the re-verification cuts every long segment at its first member
+        "collinear-49": np.arange(1, 700, dtype=np.uint64) * 49,
+    }
 
 
 class TestEpsilonGuarantee:
@@ -36,10 +106,10 @@ class TestEpsilonGuarantee:
                 rng.integers(10**9, 10**9 + 10**7, 400, dtype=np.uint64),
             ])),
         ]
-        for raw in shapes:
+        for raw in shapes + [u64_extreme_keys(eps)]:
             d = build_segments(SortedKeySet(raw), eps)
             assert max(residuals(d)) <= eps
-            assert d.max_residual() <= eps
+            assert d.max_residual() == max(residuals(d))
 
     def test_eps_zero_predicts_exact_ranks(self):
         d = build_segments(SortedKeySet(TEN_KEYS), 0)
@@ -63,6 +133,37 @@ class TestEpsilonGuarantee:
         keys = SortedKeySet(np.arange(0, 4000, 4, dtype=np.uint64) + 1)
         d = build_segments(keys, len(keys) // 2)
         assert d.segment_count == 1
+
+
+class TestChunkedFit:
+    """The chunked fit against the one-key-at-a-time mirror."""
+
+    @pytest.mark.parametrize("name", list(fit_key_sets()))
+    @pytest.mark.parametrize("eps", [0, 1, 4, 16, 256])
+    def test_equals_the_scalar_loop(self, name, eps):
+        raw = fit_key_sets()[name]
+        want = bits(reference_fit(raw.tolist(), eps))
+        assert bits(_fit_segments(raw, eps)) == want
+        assert bits(_fit_segments(raw.tolist(), eps)) == want
+        assert bits(_fit_segments(SortedKeySet(raw), eps)) == want
+
+    def test_long_segments_cross_several_chunks(self):
+        raw = fit_key_sets()["uniform"]
+        longest = max(len(s) for s in _fit_segments(raw, 256))
+        # past the scalar head and three doubling chunks (1x, 2x and 4x)
+        assert longest > segments._SCALAR_HEAD + 7 * segments._FIRST_CHUNK
+
+    @pytest.mark.parametrize("head, chunk", [(1, 1), (2, 3), (5, 2)])
+    def test_chunk_boundaries_do_not_matter(self, head, chunk):
+        raw = np.unique(np.concatenate([fit_key_sets()["uniform"][:3000], u64_extreme_keys(3)[-3000:]]))
+        with mock.patch.multiple(segments, _SCALAR_HEAD=head, _FIRST_CHUNK=chunk):
+            for eps in [0, 4, 64]:
+                assert bits(_fit_segments(raw, eps)) == bits(reference_fit(raw.tolist(), eps))
+
+    def test_eps_past_float_precision_stays_exact(self):
+        raw = fit_key_sets()["u64-extremes-1"]
+        for eps in [2**53, 3**40]:
+            assert bits(_fit_segments(raw, eps)) == bits(reference_fit(raw.tolist(), eps))
 
 
 class TestSegmentStructure:
@@ -147,3 +248,27 @@ def test_guarantee_and_queries_hold_for_arbitrary_sets(keys, eps):
     ranks, found = bulk_rank(sk, probes)
     for x, r, f in zip(probes, ranks, found):
         assert d.rank_search(int(x)) == (int(r), bool(f))
+
+
+@given(
+    keys=st.lists(st.integers(0, MAX_KEY), min_size=1, max_size=300, unique=True),
+    eps=st.integers(0, 64),
+    chunking=st.sampled_from([(32, 256), (1, 1), (3, 2)]),
+)
+@settings(max_examples=150, deadline=None)
+def test_fit_partitions_and_bounds_full_range_keys(keys, eps, chunking):
+    ks = sorted(keys)
+    head, chunk = chunking
+    with mock.patch.multiple(segments, _SCALAR_HEAD=head, _FIRST_CHUNK=chunk):
+        segs = _fit_segments(np.array(ks, dtype=np.uint64), eps)
+    assert bits(segs) == bits(reference_fit(ks, eps))
+    assert segs[0].start_rank == 0 and segs[-1].end_rank == len(ks)
+    for a, b in zip(segs, segs[1:]):
+        assert a.end_rank == b.start_rank
+    for seg in segs:
+        assert seg.end_rank > seg.start_rank
+        assert seg.first_key == ks[seg.start_rank]
+        for j in range(seg.start_rank, seg.end_rank):
+            assert abs(seg.predict_rank(ks[j]) - j) <= eps
+        if len(seg) > 1:
+            assert seg.slope > 0
