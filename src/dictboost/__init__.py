@@ -2,13 +2,13 @@
 
 The library splits a sorted u64 key set into intervals (equal-width bins
 or epsilon-bounded linear segments) and routes each rank query to its
-interval in O(1) or O(log segments).  An interval is a window of the one
-sorted key list: the in-place dictionaries (``bbs``, ``bfs``, ``is``)
-search that window directly, the others keep one small dictionary per
-interval.  A dynamic variant keeps the scheme valid under inserts
-and deletes with an amortized rebuild policy, and a per-bin optimal-BST
-forest gives entropy-bounded expected search cost for known access
-distributions.  The ``dictboost`` CLI benchmarks all of it.
+interval in O(1) or O(log segments).  Both models are one
+``IntervalModel``: an interval is a window of the one sorted key list,
+which the in-place dictionaries (``bbs``, ``bfs``, ``is``) search
+directly, while the others keep one small dictionary per interval.  A
+dynamic variant keeps the scheme valid under inserts and deletes with an
+amortized rebuild policy, and a per-bin optimal-BST forest gives
+entropy-bounded expected search cost for known access distributions.  The ``dictboost`` CLI benchmarks all of it.
 """
 
 from .binning import BinnedDictionary, bin_index, bin_occupancy, bin_starts, build_binning, pct_to_k

@@ -7,7 +7,7 @@ noise).  GC is disabled inside the measured region.  Every ratio is
 computed against a plain dictionary measured in the same process on the
 identical pre-shuffled query order.
 
-All row types carry a leading ``schema`` column (currently 1) so the CSV
+All row types carry a leading ``schema`` column (currently 2) so the CSV
 layout can evolve without breaking downstream plotting.  Splay rows are
 flagged ``order_sensitive`` because self-adjustment makes their timings a
 function of the query order.
@@ -30,7 +30,7 @@ from .forest import ForestSweep, optimize_over_k
 from .segments import build_segments
 from .workloads import QueryWorkload
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_REPEATS = 5
 DEFAULT_WARMUP = 1
 DEFAULT_PCTS = (1.0, 5.0, 10.0, 25.0, 50.0, 100.0)
@@ -181,19 +181,15 @@ def _specs(dict_specs) -> list[tuple[str, DictionaryBuilder]]:
     return list(dict_specs)
 
 
-# family -> (build(keys, param, spec), structure -> (intervals, routing steps))
-_MODELS = {
-    "binning": (build_binning, lambda d: (d.k, 0)),
-    "segments": (build_segments, lambda d: (d.segment_count, d.routing_steps())),
-}
+# family -> build(keys, param, spec)
+_MODELS = {"binning": build_binning, "segments": build_segments}
 
 
 def _measure_model(family: str, keys: SortedKeySet, param: int, spec, queries: list, repeats: int):
     """Build one model configuration and time its queries: (structure,
     intervals, routing_steps, mean_ns)."""
-    build, shape = _MODELS[family]
-    d = build(keys, param, spec)
-    return (d, *shape(d), measure_ns_per_query(d.rank_search, queries, repeats))
+    d = _MODELS[family](keys, param, spec)
+    return d, d.intervals, d.routing_steps(), measure_ns_per_query(d.rank_search, queries, repeats)
 
 
 def _routing_probe(route: Callable[[int], int], lo: int, hi: int) -> Callable[[int], None]:

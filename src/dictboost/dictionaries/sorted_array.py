@@ -99,22 +99,6 @@ class UniformBinarySearch(_InPlaceSearch):
         rank = base + (1 if keys[base] < x else 0)
         return SearchOutcome(rank, rank < hi and keys[rank] == x)
 
-    def rank_search_with_steps(self, x: int) -> tuple[SearchOutcome, int]:
-        """Same walk, also counting loop iterations (used by the tests to
-        pin the uniform-depth property)."""
-        keys = self._keys
-        base, m = 0, len(keys)
-        steps = 0
-        while m > 1:
-            half = m // 2
-            if keys[base + half] < x:
-                base += half
-            m -= half
-            steps += 1
-        rank = base + (1 if keys[base] < x else 0)
-        n = len(keys)
-        return SearchOutcome(rank, rank < n and keys[rank] == x), steps
-
 
 class InterpolationSearch(_InPlaceSearch):
     kind_id = "is"

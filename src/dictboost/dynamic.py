@@ -60,8 +60,7 @@ class RebuildTrigger(enum.Enum):
 @dataclass(frozen=True)
 class RebuildEvent:
     trigger: RebuildTrigger
-    elements_touched: int
-    n_after: int
+    elements_touched: int  # also the size after the rebuild: it touches every key
     delta_hat: float
 
 
@@ -134,7 +133,13 @@ class _Fenwick:
 
 
 class DynamicBinDict:
-    """Insert/delete/search over equal-width bins of a widened key range."""
+    """Insert/delete/search over equal-width bins of a widened key range.
+
+    Reads mutate: the bins are splay trees, so ``rank_search`` and
+    ``select`` splay the last node they reach to the root of its bin's
+    tree.  Answers do not change, but concurrent readers need exclusive
+    access, and a read's cost depends on the reads before it.
+    """
 
     def __init__(self, keys: SortedKeySet | Iterable[int], k: int):
         contents = (
@@ -227,7 +232,6 @@ class DynamicBinDict:
             RebuildEvent(
                 trigger=trigger,
                 elements_touched=len(contents),
-                n_after=len(contents),
                 delta_hat=float(new_delta),
             )
         )

@@ -43,8 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DictboostError, KEY_BYTES, SearchOutcome, SortedKeySet
-from .dictionaries import DictKind, window_searcher
+from .core import DictboostError, SortedKeySet
+from .dictionaries import DictKind, IntervalModel
 
 PER_SEGMENT_BYTES = 48  # routing key + (first_key, slope, intercept, start, end)
 _SCALAR_HEAD = 32  # candidates per segment grown in Python before numpy takes over
@@ -185,54 +185,33 @@ def _exact_stop(arr: np.ndarray, i: int, stop: int, eps: int) -> int:
     return int(np.searchsorted(arr, np.uint64(x0 + _EXACT_SPAN), side="right"))
 
 
-class SegmentedDictionary:
+class SegmentedDictionary(IntervalModel):
     """Epsilon-segmented key set: route by first-key binary search, then
     answer on the segment's window of the key list."""
+
+    HEADER_BYTES = PER_SEGMENT_BYTES
 
     def __init__(self, keys: SortedKeySet, eps: int, dict_kind: DictKind = "bbs"):
         if eps < 0:
             raise DictboostError(f"eps must be >= 0, got {eps}")
         if not len(keys):
             raise DictboostError("cannot segment an empty key set")
-        self.keys = keys
         self.eps = int(eps)
-        self._ks = keys._list  # the key set's cached list, searched in place
         self.segments = _fit_segments(keys, self.eps)
         self._firsts = [s.first_key for s in self.segments]
-        self._starts = [s.start_rank for s in self.segments] + [len(keys)]
-        self.dict_id, self._searcher = window_searcher(dict_kind, self._ks, self._starts)
-        self._lo = keys.lo
-        self._hi = keys.hi
-        self._n = len(keys)
+        super().__init__(keys, [s.start_rank for s in self.segments] + [len(keys)], dict_kind)
 
-    @classmethod
-    def build(
-        cls, keys: SortedKeySet, eps: int, dict_kind: DictKind = "bbs"
-    ) -> "SegmentedDictionary":
-        return cls(keys, eps, dict_kind)
-
-    # -- queries --------------------------------------------------------------
+    def interval(self, x: int) -> int:
+        """1-based: the count of segments whose first key is <= ``x``."""
+        return bisect_right(self._firsts, x)
 
     def route(self, x: int) -> int:
         """Index of the segment owning an in-range ``x``."""
         return bisect_right(self._firsts, x) - 1
 
-    def rank_search(self, x: int) -> SearchOutcome:
-        if x < self._lo:
-            return SearchOutcome(0, False)
-        if x > self._hi:
-            return SearchOutcome(self._n, False)
-        idx = bisect_right(self._firsts, x) - 1
-        return self._searcher.search(self._ks, x, self._starts[idx], self._starts[idx + 1])
-
     def predict_rank(self, x: int) -> int:
         """Model prediction for diagnostics; queries never rely on it."""
         return self.segments[self.route(x)].predict_rank(x)
-
-    def __len__(self) -> int:
-        return self._n
-
-    # -- accounting -----------------------------------------------------------
 
     @property
     def segment_count(self) -> int:
@@ -252,16 +231,5 @@ class SegmentedDictionary:
         pred = np.floor(slope * (self.keys.array - first).astype(np.float64) + intercept)
         return int(np.abs(pred - np.arange(self._n)).max())
 
-    def space_bytes(self) -> int:
-        return PER_SEGMENT_BYTES * self.segment_count + self._searcher.overhead_bytes()
 
-    def space_overhead_pct(self) -> float:
-        return 100.0 * self.space_bytes() / (KEY_BYTES * self._n)
-
-
-def build_segments(
-    keys: SortedKeySet | Sequence[int], eps: int, dict_kind: DictKind = "bbs"
-) -> SegmentedDictionary:
-    if not isinstance(keys, SortedKeySet):
-        keys = SortedKeySet(keys)
-    return SegmentedDictionary.build(keys, eps, dict_kind)
+build_segments = SegmentedDictionary.build

@@ -8,8 +8,8 @@ fast as possible and exercises the ratio-growth rebuild trigger.
 
 ``replay_stream`` applies a stream to a :class:`DynamicBinDict` and to a
 mirrored sorted list at the same time, comparing every outcome.  Any
-disagreement raises immediately with the offending op index; the emitted
-checkpoint rows therefore always carry divergences = 0.
+disagreement raises immediately with the offending op index, so a
+replay that returns had none.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bench import SCHEMA_VERSION
 from .core import DictboostError, SortedKeySet
-from .dynamic import AmortizedReport, DynamicBinDict, RebuildTrigger
+from .dynamic import AmortizedReport, DynamicBinDict
 
 OP_INSERT = "insert"
 OP_DELETE = "delete"
@@ -120,7 +121,6 @@ class StreamCheckpoint:
     elements_touched: int
     touches_per_update: float
     delta_hat: float
-    divergences: int
 
 
 @dataclass
@@ -129,10 +129,6 @@ class ReplayResult:
     report: AmortizedReport
     ops_applied: int
 
-    @property
-    def divergences(self) -> int:
-        return 0  # replay raises on the first divergence, so survivors are clean
-
 
 def replay_stream(
     initial: SortedKeySet,
@@ -140,7 +136,6 @@ def replay_stream(
     stream: UpdateStream,
     checkpoint_every: int | None = None,
     dataset_id: str = "stream",
-    schema: int = 1,
 ) -> ReplayResult:
     """Apply the stream to a DynamicBinDict and a sorted-list oracle in
     lockstep, checking every single outcome."""
@@ -177,21 +172,19 @@ def replay_stream(
             raise DictboostError(f"unknown stream op {op!r}")
         done = idx + 1
         if done % every == 0 or done == total:
-            led = dyn.ledger
-            touched = led.total_touched
+            rep = dyn.amortized_report()
             checkpoints.append(
                 StreamCheckpoint(
-                    schema=schema,
+                    schema=SCHEMA_VERSION,
                     dataset_id=dataset_id,
                     ops_done=done,
                     n=len(dyn),
-                    rebuilds_update_count=led.count(RebuildTrigger.UPDATE_COUNT),
-                    rebuilds_delta_growth=led.count(RebuildTrigger.DELTA_GROWTH),
-                    rebuilds_out_of_range=led.count(RebuildTrigger.OUT_OF_RANGE),
-                    elements_touched=touched,
-                    touches_per_update=touched / max(1, dyn.total_updates),
-                    delta_hat=float(dyn.delta_hat),
-                    divergences=0,
+                    rebuilds_update_count=rep.rebuilds_update_count,
+                    rebuilds_delta_growth=rep.rebuilds_delta_growth,
+                    rebuilds_out_of_range=rep.rebuilds_out_of_range,
+                    elements_touched=rep.elements_touched,
+                    touches_per_update=rep.touches_per_update,
+                    delta_hat=rep.delta_hat,
                 )
             )
     if list(dyn) != mirror:

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DictboostError, SortedKeySet
+from .core import DictboostError, SortedKeySet, sorted_unique
 
 HEADER_BYTES = 8
 KEY_DTYPE = np.dtype("<u8")
@@ -90,6 +90,18 @@ def load_keys(path: str | Path) -> LoadResult:
 # generators
 
 
+def _draw_distinct(
+    rng: np.random.Generator, pool: np.ndarray, n: int, lo: int, hi: int
+) -> np.ndarray:
+    """The sorted distinct ``pool`` topped up with keys drawn uniformly from
+    ``[lo, hi)`` until it holds at least ``n``."""
+    while pool.size < n:
+        need = n - pool.size
+        draw = rng.integers(lo, hi, size=need + need // 8 + 16, dtype=np.uint64)
+        pool = sorted_unique(np.concatenate([pool, draw]))
+    return pool
+
+
 def gen_uniform(n: int, universe: int, seed: int) -> SortedKeySet:
     """n distinct keys uniform over [0, universe), deterministic per seed."""
     if n < 1:
@@ -101,11 +113,7 @@ def gen_uniform(n: int, universe: int, seed: int) -> SortedKeySet:
         # dense regime: a partial permutation is cheaper than rejection
         chosen = rng.permutation(universe)[:n].astype(np.uint64)
         return SortedKeySet(np.sort(chosen), universe_hint=(0, universe - 1))
-    pool = np.empty(0, dtype=np.uint64)
-    while pool.size < n:
-        need = n - pool.size
-        draw = rng.integers(0, universe, size=need + need // 8 + 16, dtype=np.uint64)
-        pool = np.unique(np.concatenate([pool, draw]))
+    pool = _draw_distinct(rng, np.empty(0, dtype=np.uint64), n, 0, universe)
     chosen = rng.permutation(pool)[:n]
     return SortedKeySet(np.sort(chosen), universe_hint=(0, universe - 1))
 
@@ -130,18 +138,12 @@ def gen_clustered(
     band_lo = (width - band_width) // 2
     n_out = min(n, max(2, round(n * outlier_fraction))) if outlier_fraction > 0 else 0
     rng = np.random.default_rng(seed)
-    parts = []
+    pool = np.empty(0, dtype=np.uint64)
     if n_out:
         pinned = np.array([0, width - 1], dtype=np.uint64)
         extra = rng.integers(0, width, size=n_out - 2, dtype=np.uint64)
-        parts.append(np.concatenate([pinned, extra]))
-    pool = np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.uint64)
-    while pool.size < n:
-        need = n - pool.size
-        draw = rng.integers(
-            band_lo, band_lo + band_width, size=need + need // 8 + 16, dtype=np.uint64
-        )
-        pool = np.unique(np.concatenate([pool, draw]))
+        pool = sorted_unique(np.concatenate([pinned, extra]))
+    pool = _draw_distinct(rng, pool, n, band_lo, band_lo + band_width)
     chosen = np.sort(rng.permutation(pool)[:n]) if pool.size > n else pool
     return SortedKeySet(chosen, universe_hint=(0, width - 1))
 

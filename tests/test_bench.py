@@ -237,7 +237,7 @@ class TestCsvOutput:
         with open(out, newline="") as fh:
             parsed = list(csv.DictReader(fh))
         assert len(parsed) == len(rows)
-        assert parsed[0]["schema"] == "1"
+        assert parsed[0]["schema"] == "2"
         assert parsed[0]["model_id"] == "none"
         assert parsed[0]["order_sensitive"] == "false"
         assert float(parsed[1]["ratio_vs_plain"]) > 0

@@ -227,7 +227,8 @@ class TestDynStream:
         rows = read_rows(out)
         assert list(rows[0]) == csv_header(StreamCheckpoint)
         assert [r["ops_done"] for r in rows] == ["100", "200", "300"]
-        assert all(r["divergences"] == "0" for r in rows)
+        assert "divergences" not in rows[0]
+        assert all(r["schema"] == "2" for r in rows)
 
     def test_adversarial_flag(self, keyfile, tmp_path, capsys):
         out = tmp_path / "adv.csv"

@@ -22,6 +22,7 @@ from dictboost.core import (
     entropy,
     gap_stats,
     oracle_rank_search,
+    sorted_unique,
 )
 
 from conftest import TEN_KEYS, bulk_rank, mixed_queries
@@ -126,6 +127,27 @@ class TestSortedKeySet:
         raw[0] = 0
         assert sk.as_list() == [2, 9]
         assert dupes == 1
+
+    @pytest.mark.parametrize("values", [
+        [],
+        [MAX_KEY],
+        [0, 0, 0],
+        [5, 3, 5, 1, 3, 3],
+        [MAX_KEY, 0, MAX_KEY, 2**63, 0, 1, MAX_KEY - 1, 2**63],
+    ])
+    def test_sorted_unique_equals_np_unique(self, values):
+        arr = np.array(values, dtype=np.uint64)
+        got = sorted_unique(arr)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, np.unique(arr))
+
+    def test_sorted_unique_equals_np_unique_on_many_duplicates(self):
+        rng = np.random.default_rng(4)
+        arr = np.concatenate([rng.integers(0, 500, 5000, dtype=np.uint64),
+                              np.array([0, MAX_KEY, MAX_KEY, 0], dtype=np.uint64),
+                              rng.integers(MAX_KEY - 300, MAX_KEY, 2000, dtype=np.uint64,
+                                           endpoint=True)])
+        assert np.array_equal(sorted_unique(arr), np.unique(arr))
 
     def test_from_unsorted_dedups_and_counts(self):
         sk, dupes = SortedKeySet.from_unsorted([5, 3, 5, 1, 3, 3])

@@ -129,21 +129,31 @@ def test_all_kinds_agree_with_each_other(keys, probes):
 # branch-free binary search
 
 
+class _ProbeCountingList(list):
+    """A key list that counts the reads a search makes of it."""
+
+    probes = 0
+
+    def __getitem__(self, i):
+        self.probes += 1
+        return super().__getitem__(i)
+
+
 class TestUniformBinarySearch:
     def test_step_count_is_ceil_log2_n(self):
-        """Every query must take exactly the same number of halvings."""
+        """Every query must take exactly the same number of halvings:
+        ceil(log2 n) probes, one for the final comparison, and one more
+        for the found flag unless the rank is n."""
         for n in list(range(1, 40)) + [64, 100, 1000]:
-            d = UniformBinarySearch.build(list(range(0, 2 * n, 2)))
-            expected = math.ceil(math.log2(n)) if n > 1 else 0
-            probes = [-1, 0, 1, n, 2 * n - 2, 2 * n - 1, 2 * n + 5]
-            steps_seen = {d.rank_search_with_steps(x)[1] for x in probes}
-            assert steps_seen == {expected}, f"n={n}"
-
-    def test_steps_variant_matches_plain_search(self):
-        d = UniformBinarySearch.build(TEN_KEYS)
-        for x in range(0, 1000, 13):
-            out, _ = d.rank_search_with_steps(x)
-            assert out == d.rank_search(x)
+            plain = list(range(0, 2 * n, 2))
+            keys = _ProbeCountingList(plain)
+            d = UniformBinarySearch(keys)
+            halvings = math.ceil(math.log2(n)) if n > 1 else 0
+            for x in [-1, 0, 1, n, 2 * n - 2, 2 * n - 1, 2 * n + 5]:
+                want = sum(v < x for v in plain)
+                keys.probes = 0
+                assert d.rank_search(x) == (want, x in plain), f"n={n} x={x}"
+                assert keys.probes == halvings + 1 + (want < n), f"n={n} x={x}"
 
 
 # ---------------------------------------------------------------------------

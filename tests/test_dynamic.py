@@ -72,6 +72,23 @@ class TestQueries:
         assert d.rank_search(701) == SearchOutcome(9, False)
         assert len(d) == 11
 
+    def test_reads_splay_the_bin_tree(self):
+        """A read mutates: it splays the last node it reached to its bin
+        tree's root, and the answer stays the same."""
+        keys = list(range(0, 1000, 10))
+        d = DynamicBinDict(SortedKeySet(keys), k=1)
+        tree = d._bins[0]  # one bin: every key sits in this tree
+        assert tree.root_key == 500  # built balanced
+        for x in (30, 980, 500, 30):  # hits: the key itself comes to the root
+            before = tree.root_key
+            assert d.rank_search(x) == SearchOutcome(x // 10, True)
+            assert tree.root_key == x != before
+        before = tree.root_key
+        assert d.rank_search(975) == SearchOutcome(98, False)
+        assert tree.root_key in (970, 980) and tree.root_key != before
+        assert d.rank_search(975) == SearchOutcome(98, False)
+        assert list(d) == keys
+
     def test_select_tracks_sorted_contents(self):
         d = DynamicBinDict(SortedKeySet(TEN_KEYS), k=4)
         d.insert(200)
@@ -124,7 +141,7 @@ class TestUpdateCountTrigger:
                     assert d.ledger.count() == before, "rebuilt too early"
             assert d.ledger.count() == before + 1
             assert d.ledger.events[-1].trigger is RebuildTrigger.UPDATE_COUNT
-            assert d.ledger.events[-1].n_after == len(d)
+            assert d.ledger.events[-1].elements_touched == len(d)
             assert d.updates_since_rebuild == 0
 
     def test_noop_inserts_do_not_advance_the_counter(self):

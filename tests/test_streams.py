@@ -2,7 +2,7 @@
 
 The replay is itself a test harness, so these tests mostly check that it
 is trustworthy: that it catches a structure that lies (via monkeypatched
-mutators), that clean runs report zero divergences, and that the rebuild
+mutators), that clean runs replay to the end, and that the rebuild
 cadence visible through checkpoints matches the trigger policy.
 """
 
@@ -124,13 +124,11 @@ class TestReplay:
         initial = gen_uniform(300, 10**7, seed=20 + seed)
         stream = gen_uniform_stream(initial, 1500, seed=seed)
         result = replay_stream(initial, k, stream)
-        assert result.divergences == 0
         assert result.ops_applied == 1500
         assert result.checkpoints[-1].ops_done == 1500
         done = [cp.ops_done for cp in result.checkpoints]
         assert done == sorted(done)
         for cp in result.checkpoints:
-            assert cp.divergences == 0
             assert cp.n >= 2
             assert cp.delta_hat >= 1.0
             assert cp.touches_per_update >= 0.0
@@ -192,7 +190,6 @@ class TestReplay:
         assert rep.rebuilds_delta_growth >= 1
         assert rep.delta_max >= 2.0
         assert rep.rebuilds_delta_growth <= math.log2(rep.delta_max) + 1
-        assert result.divergences == 0
 
     def test_replay_catches_a_lying_insert(self, monkeypatch):
         real_insert = DynamicBinDict.insert

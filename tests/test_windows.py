@@ -1,5 +1,6 @@
 """Window search: the in-place kinds answer a model's query on a window of
-one shared key list, and building a model over them makes no dictionary.
+one shared key list, and building a model over them makes no dictionary;
+the other kinds answer on the same windows with one dictionary each.
 
 Every answer is checked against ``np.searchsorted`` (through ``bulk_rank``
 or directly on the window), never against another search of this package.
@@ -14,6 +15,7 @@ from dictboost import binning
 from dictboost.binning import BinGeometry, bin_starts, build_binning
 from dictboost.core import MAX_KEY, SearchOutcome, SortedKeySet
 from dictboost.dictionaries import (
+    DICTIONARY_IDS,
     WINDOW_SEARCHES,
     BlockTreeSearch,
     CssTreeSearch,
@@ -49,15 +51,17 @@ def _extreme_queries(keys):
                                                 MAX_KEY - 1, MAX_KEY]
 
 
-@pytest.mark.parametrize("kind", WINDOWED)
 class TestAgainstSearchsorted:
+    @pytest.mark.parametrize("kind", DICTIONARY_IDS)
     def test_keys_at_zero_and_max_u64(self, kind):
+        """Every kind answers through the models' one window search."""
         keys = _u64_extreme_keys()
         queries = _extreme_queries(keys)
         for label, d in _models(keys, kind):
-            assert d.dict_id == kind, label
+            assert d.dict_id.partition(":")[0] == kind, label
             assert_matches_oracle(d, keys, queries)
 
+    @pytest.mark.parametrize("kind", WINDOWED)
     def test_exact_boundary_fallback(self, kind, monkeypatch):
         """The exact-int path of the bin boundaries runs only when
         ``k * r >= 2**62``; as ``r < k <= n`` that needs over 2**31 keys, so
@@ -76,6 +80,7 @@ class TestAgainstSearchsorted:
             assert exact == want == by_formula, f"k={k}"
             assert_matches_oracle(build_binning(keys, k, kind), keys, queries)
 
+    @pytest.mark.parametrize("kind", WINDOWED)
     def test_clustered_keys_at_k_equals_n_leave_most_windows_empty(self, kind):
         keys = gen_clustered(3000, outlier_fraction=0.001, seed=4)
         d = build_binning(keys, len(keys), kind)

@@ -122,6 +122,21 @@ class TestGenerators:
         band_lo = (4 * 100 * 1000 - 400) // 2
         assert all(band_lo <= v < band_lo + 400 for v in keys.as_list())
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_generators_equal_the_np_unique_loops(self, seed):
+        """The sort-and-mask dedup draws the same keys as the loops it
+        replaced, which deduplicated with ``np.unique``; the sparse shapes
+        collide often, so the loops run several rounds."""
+        for n, universe in [(3000, 2**44), (3000, 8 * 3000 + 1), (4000, 5000)]:
+            assert np.array_equal(
+                gen_uniform(n, universe, seed).array, _np_unique_uniform(n, universe, seed)
+            )
+        for n, frac, spread in [(3000, 0.001, 1000), (500, 0.0, 1000), (800, 0.5, 1)]:
+            assert np.array_equal(
+                gen_clustered(n, frac, seed, spread).array,
+                _np_unique_clustered(n, frac, seed, spread),
+            )
+
     def test_clustered_validation(self):
         with pytest.raises(WorkloadError):
             gen_clustered(1, 0.1, seed=0)
@@ -129,6 +144,40 @@ class TestGenerators:
             gen_clustered(10, 1.5, seed=0)
         with pytest.raises(WorkloadError):
             gen_clustered(10, 0.1, seed=0, spread=0)
+
+
+def _np_unique_uniform(n, universe, seed):
+    """The draw loop of ``gen_uniform`` as it was written with ``np.unique``."""
+    rng = np.random.default_rng(seed)
+    if universe <= 8 * n:
+        return np.sort(rng.permutation(universe)[:n].astype(np.uint64))
+    pool = np.empty(0, dtype=np.uint64)
+    while pool.size < n:
+        need = n - pool.size
+        draw = rng.integers(0, universe, size=need + need // 8 + 16, dtype=np.uint64)
+        pool = np.unique(np.concatenate([pool, draw]))
+    return np.sort(rng.permutation(pool)[:n])
+
+
+def _np_unique_clustered(n, outlier_fraction, seed, spread):
+    """The draw loop of ``gen_clustered`` as it was written with ``np.unique``."""
+    band_width = 4 * n
+    width = band_width * spread
+    band_lo = (width - band_width) // 2
+    n_out = min(n, max(2, round(n * outlier_fraction))) if outlier_fraction > 0 else 0
+    rng = np.random.default_rng(seed)
+    parts = []
+    if n_out:
+        pinned = np.array([0, width - 1], dtype=np.uint64)
+        extra = rng.integers(0, width, size=n_out - 2, dtype=np.uint64)
+        parts.append(np.concatenate([pinned, extra]))
+    pool = np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.uint64)
+    while pool.size < n:
+        need = n - pool.size
+        draw = rng.integers(band_lo, band_lo + band_width, size=need + need // 8 + 16,
+                            dtype=np.uint64)
+        pool = np.unique(np.concatenate([pool, draw]))
+    return np.sort(rng.permutation(pool)[:n]) if pool.size > n else pool
 
 
 class TestQueryWorkloads:
