@@ -15,7 +15,6 @@ queries.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass

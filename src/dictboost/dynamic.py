@@ -8,6 +8,13 @@ cut into ``k`` bins of width ``ceil((2*delta_hat + 1) * L / k)``.  Each bin
 is a splay tree; a Fenwick tree over bin sizes turns in-bin ranks into
 global ones and drives order-statistic selection.
 
+A build or rebuild measures the gaps of the sorted contents once: that
+one pass gives both the exact ratio and the starting gap bounds.  It then
+cuts the contents bin by bin: from the first key of a non-empty bin, a
+bisect for the bin's upper edge finds where the next one starts, so the
+cut costs one bisect per non-empty bin rather than a bin computation per
+key.
+
 Rebuilds fire when either
 * ``n/2`` effective updates have accumulated since the last rebuild
   (``UPDATE_COUNT``), after which ``delta_hat`` is re-measured exactly, or
@@ -33,7 +40,7 @@ measurable number rather than a claim.
 from __future__ import annotations
 
 import enum
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -153,49 +160,41 @@ class DynamicBinDict:
         self.ledger = RebuildLedger()
         self.total_updates = 0
         self._delta_max = Fraction(0)
-        self._install(contents, self._exact_delta(contents))
+        self._install(contents, 0)
         self.initial_delta_hat = self.delta_hat
 
     # -- state installation ----------------------------------------------------
 
-    @staticmethod
-    def _exact_delta(contents: list[int]) -> Fraction:
-        if len(contents) < 2:
-            return Fraction(1)
-        gs = gap_stats(contents)
-        return Fraction(gs.g_max, gs.g_min)
-
-    def _install(self, contents: list[int], delta_hat: Fraction) -> None:
+    def _install(self, contents: list[int], floor: Fraction | int) -> None:
+        """Bin the sorted ``contents`` afresh.  The one gap pass sets the
+        bounds and ``delta_hat = max(exact ratio, floor)``."""
         n = len(contents)
-        self.delta_hat = delta_hat
+        if n >= 2:
+            gs = gap_stats(contents)
+            self._g_min_bound, self._g_max_bound = gs.g_min, gs.g_max
+            exact = Fraction(gs.g_max, gs.g_min)
+        else:
+            self._g_min_bound, self._g_max_bound = _NO_GAP_MIN, _NO_GAP_MAX
+            exact = Fraction(1)
+        self.delta_hat = delta_hat = max(exact, floor)
         if delta_hat > self._delta_max:
             self._delta_max = delta_hat
         self._size = n
-        if n == 0:
-            self._lo_key = self._hi_key = None
-            self.range_lo, self.range_hi = 0, -1
-            self.bin_width = 1
-            self._g_min_bound, self._g_max_bound = _NO_GAP_MIN, _NO_GAP_MAX
-        else:
-            lo, hi = contents[0], contents[-1]
-            span = hi - lo
+        if n:
+            span = contents[-1] - contents[0]
             ext = -((-span * delta_hat.numerator) // delta_hat.denominator)  # ceil
-            self.range_lo = lo - ext
-            self.range_hi = hi + ext
-            self.bin_width = max(1, -(-(self.range_hi - self.range_lo + 1) // self.k))
-            if n >= 2:
-                gs = gap_stats(contents)
-                self._g_min_bound, self._g_max_bound = gs.g_min, gs.g_max
-            else:
-                self._g_min_bound, self._g_max_bound = _NO_GAP_MIN, _NO_GAP_MAX
+            self.range_lo, self.range_hi = contents[0] - ext, contents[-1] + ext
+        else:
+            self.range_lo, self.range_hi = 0, -1
+        self.bin_width = width = max(1, -(-(self.range_hi - self.range_lo + 1) // self.k))
+        # every key lies in the range, so its bin needs no clamping; a bisect
+        # for the bin's upper edge finds where the next non-empty bin starts
         self._bins: list[SplayTreeDictionary | None] = [None] * self.k
         counts = [0] * self.k
         i = 0
         while i < n:
-            b = self._bin_of(contents[i])
-            j = i
-            while j < n and self._bin_of(contents[j]) == b:
-                j += 1
+            b = (contents[i] - self.range_lo) // width
+            j = bisect_left(contents, self.range_lo + (b + 1) * width, i)
             self._bins[b] = SplayTreeDictionary.build(contents[i:j])
             counts[b] = j - i
             i = j
@@ -211,39 +210,32 @@ class DynamicBinDict:
             return self.k - 1
         return b
 
-    def _contents(self) -> list[int]:
-        out: list[int] = []
-        for tree in self._bins:
-            if tree is not None:
-                out.extend(tree)
-        return out
-
     def _rebuild(self, trigger: RebuildTrigger, extra: int | None = None) -> None:
-        contents = self._contents()
+        contents = list(self)
         if extra is not None:
             insort(contents, extra)
-        exact = self._exact_delta(contents)
-        if trigger is RebuildTrigger.DELTA_GROWTH:
-            new_delta = max(exact, 2 * self.delta_hat)
-        else:
-            new_delta = exact
-        self._install(contents, new_delta)
-        self.ledger.append(
-            RebuildEvent(
-                trigger=trigger,
-                elements_touched=len(contents),
-                delta_hat=float(new_delta),
-            )
-        )
+        floor = 2 * self.delta_hat if trigger is RebuildTrigger.DELTA_GROWTH else 0
+        self._install(contents, floor)
+        self.ledger.append(RebuildEvent(trigger, len(contents), float(self.delta_hat)))
 
-    def _maybe_rebuild(self) -> None:
+    def _after_update(self) -> None:
+        """Count one effective update, then rebuild if a trigger fires."""
+        self.total_updates += 1
+        self.updates_since_rebuild += 1
         if self.updates_since_rebuild >= max(1, self.n_at_rebuild // 2):
             self._rebuild(RebuildTrigger.UPDATE_COUNT)
         elif (
             self._size >= 2
-            and Fraction(self._g_max_bound, self._g_min_bound) > self.delta_hat
+            and self._g_max_bound * self.delta_hat.denominator
+            > self._g_min_bound * self.delta_hat.numerator
         ):
             self._rebuild(RebuildTrigger.DELTA_GROWTH)
+
+    def _note_gap(self, gap: int) -> None:
+        if gap < self._g_min_bound:
+            self._g_min_bound = gap
+        if gap > self._g_max_bound:
+            self._g_max_bound = gap
 
     # -- queries ----------------------------------------------------------------
 
@@ -293,48 +285,29 @@ class DynamicBinDict:
             return False
         self._fenwick.add(b, 1)
         self._size += 1
-        r = self._fenwick.prefix(b) + tree.rank_search(x).rank
+        r = self.rank_search(x).rank
         if r > 0:
-            gap = x - self.select(r - 1)
-            if gap < self._g_min_bound:
-                self._g_min_bound = gap
-            if gap > self._g_max_bound:
-                self._g_max_bound = gap
+            self._note_gap(x - self.select(r - 1))
         if r + 1 < self._size:
-            gap = self.select(r + 1) - x
-            if gap < self._g_min_bound:
-                self._g_min_bound = gap
-            if gap > self._g_max_bound:
-                self._g_max_bound = gap
-        self.total_updates += 1
-        self.updates_since_rebuild += 1
-        self._maybe_rebuild()
+            self._note_gap(self.select(r + 1) - x)
+        self._after_update()
         return True
 
     def delete(self, x: int) -> bool:
-        if self._size == 0 or x < self.range_lo or x > self.range_hi:
-            return False
-        b = self._bin_of(x)
-        tree = self._bins[b]
-        if tree is None or len(tree) == 0:
-            return False
-        base = self._fenwick.prefix(b)
-        r, found = tree.rank_search(x)
+        if x < self.range_lo or x > self.range_hi:
+            return False  # cannot be present; no search, so no tree splays
+        r, found = self.rank_search(x)
         if not found:
             return False
-        gr = base + r
-        pred = self.select(gr - 1) if gr > 0 else None
-        succ = self.select(gr + 1) if gr + 1 < self._size else None
-        tree.delete(x)
+        pred = self.select(r - 1) if r > 0 else None
+        succ = self.select(r + 1) if r + 1 < self._size else None
+        b = self._bin_of(x)
+        self._bins[b].delete(x)
         self._fenwick.add(b, -1)
         self._size -= 1
         if pred is not None and succ is not None:
-            merged = succ - pred
-            if merged > self._g_max_bound:
-                self._g_max_bound = merged
-        self.total_updates += 1
-        self.updates_since_rebuild += 1
-        self._maybe_rebuild()
+            self._note_gap(succ - pred)
+        self._after_update()
         return True
 
     # -- reporting ----------------------------------------------------------------

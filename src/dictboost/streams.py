@@ -14,8 +14,9 @@ replay that returns had none.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -89,22 +90,30 @@ def gen_adversarial_stream(
     initial: SortedKeySet, n_ops: int, seed: int = 0
 ) -> UpdateStream:
     """Gap-shrinker: each op inserts the midpoint of the smallest gap still
-    wider than 1, halving it; once every gap is 1 the rest are searches."""
+    wider than 1 (the leftmost of equal ones), halving it; once every gap
+    is 1 the rest are searches.
+
+    A heap holds the open gaps as ``(width, left key)``.  An insert only
+    splits the gap it lands in, so the heap stays exact without a pass
+    over the keys, and every key stays a Python int, up to ``2**64 - 1``."""
     if n_ops < 0:
         raise DictboostError(f"need n_ops >= 0, got {n_ops}")
-    mirror = _initial_contents(initial)
+    keys = _initial_contents(initial)
     rng = np.random.default_rng(seed)
+    open_gaps = [(b - a, a) for a, b in zip(keys, keys[1:]) if b - a > 1]
+    heapify(open_gaps)
     ops = []
     for _ in range(n_ops):
-        gaps = np.diff(np.asarray(mirror, dtype=np.int64))
-        open_idx = np.nonzero(gaps > 1)[0]
-        if open_idx.size == 0:
-            ops.append((OP_SEARCH, int(rng.integers(mirror[0], mirror[-1] + 1))))
+        if not open_gaps:
+            # uint64 draws the same values as int64 below 2**63, and goes past it
+            key = rng.integers(keys[0], keys[-1], endpoint=True, dtype=np.uint64)
+            ops.append((OP_SEARCH, int(key)))
             continue
-        i = int(open_idx[np.argmin(gaps[open_idx])])
-        a, b = mirror[i], mirror[i + 1]
-        key = a + (b - a) // 2
-        insort(mirror, key)
+        width, a = heappop(open_gaps)
+        key = a + width // 2
+        for gap in ((key - a, a), (a + width - key, key)):
+            if gap[0] > 1:
+                heappush(open_gaps, gap)
         ops.append((OP_INSERT, key))
     return UpdateStream(ops=tuple(ops), seed=seed, generator="adversarial")
 

@@ -12,7 +12,8 @@ import pytest
 from dictboost.bench import BenchRecord, ForestRow, csv_header
 from dictboost.cli import main
 from dictboost.streams import StreamCheckpoint
-from dictboost.workloads import AllTrialsRejectedError, load_keys
+from dictboost.core import MAX_KEY
+from dictboost.workloads import AllTrialsRejectedError, load_keys, save_keys
 
 
 @pytest.fixture
@@ -237,6 +238,16 @@ class TestDynStream:
         assert rc == 0
         assert "touches per update" in capsys.readouterr().err
         assert len(read_rows(out)) > 0
+
+    def test_adversarial_stream_over_keys_past_2_63(self, tmp_path, capsys):
+        path = tmp_path / "top.bin"
+        save_keys([0, 2**63, 2**63 + 5, MAX_KEY - 3, MAX_KEY], path)
+        out = tmp_path / "adv.csv"
+        rc = main(["dyn-stream", "--initial", str(path), "--ops", "300",
+                   "--adversarial", "--k", "8", "--out", str(out)])
+        assert rc == 0
+        assert "300 ops" in capsys.readouterr().err
+        assert read_rows(out)[-1]["ops_done"] == "300"
 
     def test_zero_ops_exits_2(self, keyfile, capsys):
         assert main(["dyn-stream", "--initial", str(keyfile), "--ops", "0"]) == 2

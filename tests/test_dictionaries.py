@@ -16,10 +16,8 @@ from dictboost.core import DictboostError, InvalidKeySetError, SearchOutcome
 from dictboost.dictionaries import (
     DICTIONARY_IDS,
     BlockTreeSearch,
-    BranchyBinarySearch,
     CssTreeSearch,
     EytzingerSearch,
-    InterpolationSearch,
     SplayTreeDictionary,
     UniformBinarySearch,
     make_builder,

@@ -12,12 +12,22 @@ Trigger isolation relies on two constructions used throughout:
 """
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
-from dictboost.core import DictboostError, SearchOutcome, SortedKeySet
+from dictboost.core import MAX_KEY, DictboostError, SearchOutcome, SortedKeySet
 from dictboost.dynamic import DynamicBinDict, RebuildTrigger, build_dynamic
 
 from conftest import TEN_KEYS, bulk_rank
@@ -36,6 +46,16 @@ def fresh_interior_keys(present, count, lo, hi, seed):
             taken.add(x)
             out.append(x)
     return out
+
+
+def assert_keys_in_their_bins(d):
+    """Every key sits in the bin ``_bin_of`` names, and the Fenwick tree
+    counts each bin's keys."""
+    for b, tree in enumerate(d._bins):
+        keys = list(tree) if tree is not None else []
+        assert all(d._bin_of(x) == b for x in keys), f"bin {b}: {keys}"
+        assert d._fenwick.prefix(b + 1) - d._fenwick.prefix(b) == len(keys)
+    assert d._fenwick.prefix(d.k) == len(d)
 
 
 class TestConstruction:
@@ -61,6 +81,39 @@ class TestConstruction:
     def test_build_dynamic_accepts_plain_iterables(self):
         d = build_dynamic([30, 10, 20], k=2)
         assert list(d) == [10, 20, 30]
+
+
+class TestBinCut:
+    @pytest.mark.parametrize("k", [1, 2, 7, 64, 1000])
+    @pytest.mark.parametrize("keys", [
+        TEN_KEYS,
+        [0, 1],
+        [0, MAX_KEY],
+        [0, 1, 2, 3, 4, 1000],
+        list(range(0, 64 * 20, 64)),
+        [5, 6, 2**63, MAX_KEY - 1, MAX_KEY],
+    ], ids=["ten", "pair", "u64-hull", "dense-run", "even", "u64-extremes"])
+    def test_every_key_in_the_bin_bin_of_names_after_a_build(self, keys, k):
+        d = DynamicBinDict(keys, k)
+        assert list(d) == sorted(keys)
+        assert_keys_in_their_bins(d)
+
+    def test_every_key_in_the_bin_bin_of_names_after_each_rebuild(self):
+        d = DynamicBinDict([0, 1] + list(range(10, 101, 10)), k=8)
+        for x in fresh_interior_keys(list(d), 6, 10, 100, seed=1):
+            d.insert(x)
+        assert d.ledger.events[-1].trigger is RebuildTrigger.UPDATE_COUNT
+        assert_keys_in_their_bins(d)
+
+        d = DynamicBinDict([0, 10, 11, 21], k=4)
+        d.delete(11)
+        assert d.ledger.events[-1].trigger is RebuildTrigger.DELTA_GROWTH
+        assert_keys_in_their_bins(d)
+
+        d = DynamicBinDict(SortedKeySet(TEN_KEYS), k=8)
+        d.insert(MAX_KEY)
+        assert d.ledger.events[-1].trigger is RebuildTrigger.OUT_OF_RANGE
+        assert_keys_in_their_bins(d)
 
 
 class TestQueries:
@@ -274,3 +327,105 @@ class TestGapBounds:
             == d.ledger.count()
         )
         assert rep.delta_max >= float(d.initial_delta_hat)
+
+
+_EDGE_KEYS = st.one_of(
+    st.sampled_from([0, 1, 2**63, MAX_KEY - 1, MAX_KEY]),
+    st.integers(0, 2000),
+    st.integers(0, MAX_KEY),
+)
+
+
+class DynamicAgainstMirror(RuleBasedStateMachine):
+    """Random inserts, deletes, rank searches and selections against a
+    sorted list kept with ``bisect``.  Keys come from the u64 edges, from
+    outside the widened range and from the middle of the smallest gap, and
+    a drain rule deletes every key so that the structure runs empty and is
+    filled again."""
+
+    @initialize(keys=st.lists(_EDGE_KEYS, min_size=2, max_size=10, unique=True),
+                k=st.sampled_from([1, 2, 5, 64]))
+    def build(self, keys, k):
+        self.mirror = sorted(keys)
+        self.d = DynamicBinDict(keys, k)
+
+    def _insert(self, x):
+        pos = bisect_left(self.mirror, x)
+        absent = pos == len(self.mirror) or self.mirror[pos] != x
+        assert self.d.insert(x) is absent
+        if absent:
+            self.mirror.insert(pos, x)
+
+    def _delete(self, x):
+        pos = bisect_left(self.mirror, x)
+        present = pos < len(self.mirror) and self.mirror[pos] == x
+        assert self.d.delete(x) is present
+        if present:
+            del self.mirror[pos]
+
+    @rule(x=_EDGE_KEYS)
+    def insert(self, x):
+        self._insert(x)
+
+    @rule(above=st.booleans(), offset=st.integers(1, 2**40))
+    def insert_out_of_range(self, above, offset):
+        x = self.d.range_hi + offset if above else self.d.range_lo - offset
+        self._insert(min(max(x, 0), MAX_KEY))
+
+    @precondition(lambda self: len(self.mirror) >= 2)
+    @rule()
+    def insert_smallest_gap_midpoint(self):
+        gaps = [(b - a, a) for a, b in zip(self.mirror, self.mirror[1:]) if b - a > 1]
+        if gaps:
+            width, a = min(gaps)
+            self._insert(a + width // 2)
+
+    @rule(x=_EDGE_KEYS)
+    def delete(self, x):
+        self._delete(x)
+
+    @precondition(lambda self: self.mirror)
+    @rule(data=st.data())
+    def delete_present(self, data):
+        self._delete(data.draw(st.sampled_from(self.mirror)))
+
+    @precondition(lambda self: self.mirror)
+    @rule()
+    def drain(self):
+        for x in list(self.mirror):
+            self._delete(x)
+        assert len(self.d) == 0
+
+    @rule(x=_EDGE_KEYS)
+    def rank_search(self, x):
+        pos = bisect_left(self.mirror, x)
+        want = (pos, pos < len(self.mirror) and self.mirror[pos] == x)
+        assert self.d.rank_search(x) == want
+
+    @rule(data=st.data())
+    def select(self, data):
+        j = data.draw(st.integers(0, len(self.mirror)))
+        if j == len(self.mirror):
+            with pytest.raises(IndexError):
+                self.d.select(j)
+        else:
+            assert self.d.select(j) == self.mirror[j]
+
+    @invariant()
+    def same_keys_in_their_bins(self):
+        assert len(self.d) == len(self.mirror)
+        assert list(self.d) == self.mirror
+        assert_keys_in_their_bins(self.d)
+
+    @invariant()
+    def gap_bounds_bracket_the_true_extremes(self):
+        if len(self.mirror) >= 2:
+            gaps = [b - a for a, b in zip(self.mirror, self.mirror[1:])]
+            g_min, g_max = self.d.gap_bounds
+            assert g_min <= min(gaps) and g_max >= max(gaps)
+
+
+TestDynamicAgainstMirror = DynamicAgainstMirror.TestCase
+TestDynamicAgainstMirror.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None
+)

@@ -6,7 +6,6 @@ the production dynamic program.
 """
 
 import math
-from itertools import product
 
 import numpy as np
 import pytest

@@ -9,9 +9,10 @@ cadence visible through checkpoints matches the trigger policy.
 import math
 from bisect import bisect_left, insort
 
+import numpy as np
 import pytest
 
-from dictboost.core import DictboostError, SortedKeySet
+from dictboost.core import MAX_KEY, DictboostError, SortedKeySet
 from dictboost.dynamic import DynamicBinDict
 from dictboost.streams import (
     OP_DELETE,
@@ -23,13 +24,33 @@ from dictboost.streams import (
     gen_uniform_stream,
     replay_stream,
 )
-from dictboost.workloads import gen_uniform
+from dictboost.workloads import gen_clustered, gen_uniform
 
 from conftest import TEN_KEYS
 
 
 def manual_stream(ops):
     return UpdateStream(ops=tuple(ops), seed=0, generator="manual")
+
+
+def reference_adversarial_stream(initial, n_ops, seed=0):
+    """The first gap-shrinker: it measures every gap of the whole mirror
+    on every op (int64, so keys below 2**63 only)."""
+    mirror = initial.as_list()
+    rng = np.random.default_rng(seed)
+    ops = []
+    for _ in range(n_ops):
+        gaps = np.diff(np.asarray(mirror, dtype=np.int64))
+        open_idx = np.nonzero(gaps > 1)[0]
+        if open_idx.size == 0:
+            ops.append((OP_SEARCH, int(rng.integers(mirror[0], mirror[-1] + 1))))
+            continue
+        i = int(open_idx[np.argmin(gaps[open_idx])])
+        a, b = mirror[i], mirror[i + 1]
+        key = a + (b - a) // 2
+        insort(mirror, key)
+        ops.append((OP_INSERT, key))
+    return ops
 
 
 class TestUniformStream:
@@ -108,6 +129,40 @@ class TestAdversarialStream:
             assert b - a == min(open_gaps)
             assert key == a + (b - a) // 2
             insort(mirror, key)
+
+    @pytest.mark.parametrize("keys, n_ops", [
+        ([0, 16], 20),
+        ([0, 1, 2, 3, 10], 30),
+        ([i * 1024 for i in range(65)], 3000),
+        ([0, 1, 3, 7, 15, 31, 63, 127, 255, 1000, 1001, 5000], 2500),
+        (gen_uniform(300, 10**7, seed=3).as_list(), 2000),
+        (gen_clustered(400, outlier_fraction=0.01, seed=4).as_list(), 1500),
+        ([2**62, 2**62 + 2**20, 2**63 - 2**40, 2**63 - 1], 400),
+    ], ids=["hull-16", "one-open-gap", "spaced-1024", "doubling", "uniform", "clustered",
+            "below-2^63"])
+    def test_same_stream_as_the_full_scan_generator(self, keys, n_ops):
+        initial = SortedKeySet(keys)
+        for seed in (0, 5):
+            got = gen_adversarial_stream(initial, n_ops, seed=seed).ops
+            assert list(got) == reference_adversarial_stream(initial, n_ops, seed=seed)
+
+    def test_keys_at_the_top_of_u64(self):
+        initial = SortedKeySet([0, 2**63, MAX_KEY - 3, MAX_KEY])
+        stream = gen_adversarial_stream(initial, 200, seed=6)
+        mirror = initial.as_list()
+        for op, key in stream.ops[:120]:  # the smallest gap first, then the next
+            assert op == OP_INSERT
+            pos = bisect_left(mirror, key)
+            open_gaps = [y - x for x, y in zip(mirror, mirror[1:]) if y - x > 1]
+            assert mirror[pos] - mirror[pos - 1] == min(open_gaps)
+            insort(mirror, key)
+        assert mirror[-4:] == [MAX_KEY - 3, MAX_KEY - 2, MAX_KEY - 1, MAX_KEY]
+        tight = SortedKeySet([MAX_KEY - 3, MAX_KEY])
+        ops = gen_adversarial_stream(tight, 40, seed=7).ops
+        assert ops[:2] == ((OP_INSERT, MAX_KEY - 2), (OP_INSERT, MAX_KEY - 1))
+        assert {op for op, _ in ops[2:]} == {OP_SEARCH}
+        assert {key for _, key in ops[2:]} <= set(range(MAX_KEY - 3, MAX_KEY + 1))
+        assert MAX_KEY in {key for _, key in ops[2:]}
 
     def test_insert_prefix_is_seed_independent(self):
         initial = SortedKeySet([0, 64])

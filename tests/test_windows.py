@@ -21,7 +21,9 @@ from dictboost.dictionaries import (
     CssTreeSearch,
     EytzingerSearch,
     SplayTreeDictionary,
+    make_builder,
 )
+from dictboost.dynamic import DynamicBinDict
 from dictboost.segments import build_segments
 from dictboost.workloads import gen_clustered
 
@@ -54,12 +56,28 @@ def _extreme_queries(keys):
 class TestAgainstSearchsorted:
     @pytest.mark.parametrize("kind", DICTIONARY_IDS)
     def test_keys_at_zero_and_max_u64(self, kind):
-        """Every kind answers through the models' one window search."""
+        """Every kind answers at the u64 edges, plain and through the
+        models' one window search."""
         keys = _u64_extreme_keys()
         queries = _extreme_queries(keys)
+        assert_matches_oracle(make_builder(kind)[1](keys.as_list()), keys, queries)
         for label, d in _models(keys, kind):
             assert d.dict_id.partition(":")[0] == kind, label
             assert_matches_oracle(d, keys, queries)
+
+    @pytest.mark.parametrize("k", [1, 3, 64, 1000])
+    def test_dynamic_keys_at_zero_and_max_u64(self, k):
+        """The dynamic structure answers at the u64 edges, also after it
+        loses both edge keys and takes them back."""
+        keys = _u64_extreme_keys()
+        queries = _extreme_queries(keys)
+        d = DynamicBinDict(keys, k)
+        assert_matches_oracle(d, keys, queries)
+        assert d.delete(0) and d.delete(MAX_KEY)
+        assert_matches_oracle(d, SortedKeySet(keys.array[1:-1]), queries)
+        assert d.insert(MAX_KEY) and d.insert(0)
+        assert_matches_oracle(d, keys, queries)
+        assert list(d) == keys.as_list()
 
     @pytest.mark.parametrize("kind", WINDOWED)
     def test_exact_boundary_fallback(self, kind, monkeypatch):
