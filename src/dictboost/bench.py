@@ -4,8 +4,12 @@ Timing protocol: per configuration, one warm-up pass over the query
 sequence, then ``repeats`` measured passes; the reported figure is the
 median pass time divided by the query count (medians resist scheduler
 noise).  GC is disabled inside the measured region.  Every ratio is
-computed against a plain dictionary measured in the same process on the
-identical pre-shuffled query order.
+computed against a plain dictionary timed alongside the structure: the
+two alternate on blocks of ``PAIR_BLOCK`` queries of the identical
+pre-shuffled order, and the ratio is the median per-pass ratio.  Machine
+speed drifts in phases of seconds that move a lone pass by 20-30%;
+alternating blocks lets such a phase slow both sides alike, so it drops
+out of the ratio.
 
 All row types carry a leading ``schema`` column (currently 2) so the CSV
 layout can evolve without breaking downstream plotting.  Splay rows are
@@ -20,6 +24,7 @@ import gc
 import math
 import statistics
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
@@ -34,6 +39,7 @@ SCHEMA_VERSION = 2
 DEFAULT_REPEATS = 5
 DEFAULT_WARMUP = 1
 DEFAULT_PCTS = (1.0, 5.0, 10.0, 25.0, 50.0, 100.0)
+PAIR_BLOCK = 1000  # queries per alternation in measure_paired_ns
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +57,42 @@ def _one_pass(search: Callable[[int], object], queries: list) -> int:
     return time.perf_counter_ns() - t0
 
 
+def _paired_pass(search, baseline, blocks: list[list]) -> tuple[int, int]:
+    """One pass of each callable over the query blocks, alternating block
+    by block: (search ns, baseline ns)."""
+    clock = time.perf_counter_ns
+    t_search = t_base = 0
+    for block in blocks:
+        t0 = clock()
+        for x in block:
+            baseline(x)
+        t1 = clock()
+        for x in block:
+            search(x)
+        t2 = clock()
+        t_base += t1 - t0
+        t_search += t2 - t1
+    return t_search, t_base
+
+
+def _check_timing_args(queries: list, repeats: int) -> None:
+    if not queries:
+        raise DictboostError("cannot time an empty query sequence")
+    if repeats < 1:
+        raise DictboostError(f"need repeats >= 1, got {repeats}")
+
+
+@contextmanager
+def _gc_paused():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def measure_ns_per_query(
     search: Callable[[int], object],
     queries: list,
@@ -58,20 +100,33 @@ def measure_ns_per_query(
     warmup: int = DEFAULT_WARMUP,
 ) -> float:
     """Median-of-``repeats`` nanoseconds per query."""
-    if not queries:
-        raise DictboostError("cannot time an empty query sequence")
-    if repeats < 1:
-        raise DictboostError(f"need repeats >= 1, got {repeats}")
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    _check_timing_args(queries, repeats)
+    with _gc_paused():
         for _ in range(warmup):
             _one_pass(search, queries)
         samples = [_one_pass(search, queries) for _ in range(repeats)]
-    finally:
-        if was_enabled:
-            gc.enable()
     return statistics.median(samples) / len(queries)
+
+
+def measure_paired_ns(
+    search: Callable[[int], object],
+    baseline: Callable[[int], object],
+    queries: list,
+    repeats: int = DEFAULT_REPEATS,
+    warmup: int = DEFAULT_WARMUP,
+) -> tuple[float, float]:
+    """(median-of-``repeats`` ns per query of ``search``, median per-pass
+    ratio of its time to ``baseline``'s), the two timed in alternation on
+    blocks of ``PAIR_BLOCK`` queries.  Each callable still sees every
+    query, in order, once per pass."""
+    _check_timing_args(queries, repeats)
+    blocks = [queries[i : i + PAIR_BLOCK] for i in range(0, len(queries), PAIR_BLOCK)]
+    with _gc_paused():
+        for _ in range(warmup):
+            _paired_pass(search, baseline, blocks)
+        passes = [_paired_pass(search, baseline, blocks) for _ in range(repeats)]
+    mean = statistics.median(t for t, _ in passes) / len(queries)
+    return mean, statistics.median(t / max(base, 1) for t, base in passes)
 
 
 def _queries_of(workload) -> list:
@@ -187,9 +242,9 @@ _MODELS = {"binning": build_binning, "segments": build_segments}
 
 def _measure_model(family: str, keys: SortedKeySet, param: int, spec, queries: list, repeats: int):
     """Build one model configuration and time its queries: (structure,
-    intervals, routing_steps, mean_ns)."""
+    mean_ns)."""
     d = _MODELS[family](keys, param, spec)
-    return d, d.intervals, d.routing_steps(), measure_ns_per_query(d.rank_search, queries, repeats)
+    return d, measure_ns_per_query(d.rank_search, queries, repeats)
 
 
 def _routing_probe(route: Callable[[int], int], lo: int, hi: int) -> Callable[[int], None]:
@@ -223,16 +278,15 @@ def _sweep(keys, workload, dict_specs, family, params, repeats, dataset_id) -> l
             )
         )
         for param in params:
-            d, intervals, steps, mean = _measure_model(
-                family, keys, param, (dict_id, builder), queries, repeats
-            )
+            d = _MODELS[family](keys, param, (dict_id, builder))
+            mean, ratio = measure_paired_ns(d.rank_search, plain.rank_search, queries, repeats)
             probe = _routing_probe(d.route, lo, hi)
             pred = min(measure_ns_per_query(probe, queries, repeats), mean)
             records.append(
                 BenchRecord(
-                    SCHEMA_VERSION, dataset_id, dict_id, family, float(param), intervals, steps,
-                    mean, pred, mean - pred,
-                    d.space_overhead_pct(), mean / plain_mean, sensitive,
+                    SCHEMA_VERSION, dataset_id, dict_id, family, float(param), d.intervals,
+                    d.routing_steps(), mean, pred, mean - pred,
+                    d.space_overhead_pct(), ratio, sensitive,
                 )
             )
     return records
@@ -330,11 +384,9 @@ def run_space_selection(
     for dict_id, builder in _specs(dict_specs):
         for family, params in grids.items():
             for param in params:
-                d, intervals, _, mean = _measure_model(
-                    family, keys, param, (dict_id, builder), queries, repeats
-                )
+                d, mean = _measure_model(family, keys, param, (dict_id, builder), queries, repeats)
                 measured.append(
-                    (family, dict_id, float(param), intervals, d.space_overhead_pct(), mean)
+                    (family, dict_id, float(param), d.intervals, d.space_overhead_pct(), mean)
                 )
     rows: list[SpaceRow] = []
     for bound in bounds_pct:

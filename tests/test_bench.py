@@ -17,6 +17,7 @@ import pytest
 from dictboost.bench import (
     BenchRecord,
     DEFAULT_PCTS,
+    PAIR_BLOCK,
     SCHEMA_VERSION,
     csv_header,
     default_epsilons,
@@ -24,6 +25,7 @@ from dictboost.bench import (
     default_space_k_grid,
     delta_report,
     measure_ns_per_query,
+    measure_paired_ns,
     run_boost_sweep,
     run_epsilon_sweep,
     run_forest_sweep,
@@ -55,10 +57,25 @@ class TestMeasurement:
         assert d["hits"] == 400  # 1 warmup + 3 passes
 
     def test_rejects_empty_queries_and_bad_repeats(self):
-        with pytest.raises(DictboostError):
-            measure_ns_per_query(lambda x: x, [], repeats=1)
-        with pytest.raises(DictboostError):
-            measure_ns_per_query(lambda x: x, [1], repeats=0)
+        for measure in (measure_ns_per_query, lambda f, qs, **kw: measure_paired_ns(f, f, qs, **kw)):
+            with pytest.raises(DictboostError):
+                measure(lambda x: x, [], repeats=1)
+            with pytest.raises(DictboostError):
+                measure(lambda x: x, [1], repeats=0)
+
+    def test_paired_passes_alternate_blocks_in_query_order(self):
+        queries = list(range(2 * PAIR_BLOCK + 7))  # two full blocks and a short one
+        calls = []
+        mean, ratio = measure_paired_ns(
+            lambda x: calls.append(("s", x)), lambda x: calls.append(("b", x)),
+            queries, repeats=3, warmup=1,
+        )
+        assert mean > 0 and ratio > 0
+        one_pass = []
+        for i in range(0, len(queries), PAIR_BLOCK):
+            block = queries[i : i + PAIR_BLOCK]
+            one_pass += [("b", x) for x in block] + [("s", x) for x in block]
+        assert calls == one_pass * 4  # 1 warmup + 3 passes, each sees every query in order
 
 
 class TestBoostSweep:
