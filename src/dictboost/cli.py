@@ -278,10 +278,12 @@ def cmd_dyn_stream(args) -> int:
         return 2
     _emit(result.checkpoints, args.out)
     rep = result.report
+    non_empty, largest = result.occupancy
     print(
         f"{result.ops_applied} ops; rebuilds {rep.rebuilds_update_count}/"
         f"{rep.rebuilds_delta_growth}/{rep.rebuilds_out_of_range} (count/ratio/range), "
-        f"touches per update {rep.touches_per_update:.2f}",
+        f"touches per update {rep.touches_per_update:.2f}; "
+        f"bins non-empty {non_empty}/{args.k}, largest {largest}",
         file=sys.stderr,
     )
     return 0

@@ -49,21 +49,22 @@ class SplayTreeDictionary(DynamicSortedSetDictionary):
         initial shape at depth log n; the splay discipline only concerns
         accesses after that.
         """
-        ks = [int(v) for v in keys]
+        ks = list(map(int, keys))
         tree = cls()
         tree._n = len(ks)
 
-        def grow(lo: int, hi: int, parent: _Node | None) -> _Node | None:
-            if lo >= hi:
-                return None
+        def grow(lo: int, hi: int, parent: _Node | None) -> _Node:
+            # lo < hi; an empty side is never called, so leaves cost one call
             mid = (lo + hi) // 2
             node = _Node(ks[mid], parent)
-            node.left = grow(lo, mid, node)
-            node.right = grow(mid + 1, hi, node)
+            if lo < mid:
+                node.left = grow(lo, mid, node)
+            if mid + 1 < hi:
+                node.right = grow(mid + 1, hi, node)
             node.size = hi - lo
             return node
 
-        tree._root = grow(0, len(ks), None)
+        tree._root = grow(0, len(ks), None) if ks else None
         return tree
 
     def __len__(self) -> int:

@@ -1,12 +1,16 @@
 """Dynamic binned dictionary with a two-trigger rebuild policy.
 
 The static binning model assumes a frozen key range and gap shape.  To
-take inserts and deletes, this variant bins a *widened* range sized from
-the gap ratio measured at build time (``delta_hat``): with key span ``L``
-the binned domain is ``[lo - ceil(L * delta_hat), hi + ceil(L * delta_hat)]``,
-cut into ``k`` bins of width ``ceil((2*delta_hat + 1) * L / k)``.  Each bin
-is a splay tree; a Fenwick tree over bin sizes turns in-bin ranks into
-global ones and drives order-statistic selection.
+take inserts and deletes, this variant accepts keys in a *widened* range
+sized from the gap ratio measured at build time (``delta_hat``): with key
+span ``L`` the range is ``[lo - ceil(L * delta_hat), hi + ceil(L * delta_hat)]``,
+and an insert outside it forces a rebuild.  The ``k`` bins cut only the
+key hull ``[lo, hi]``, in bins of width ``ceil((L + 1) / k)``, so they hold
+keys: ``delta_hat`` is ~10^6 on random keys, and bins over the whole range
+would leave all but one or two empty.  A key in either margin between the
+hull and the range edge goes to the nearest edge bin, which keeps the bin
+map monotone.  Each bin is a splay tree; a Fenwick tree over bin sizes
+turns in-bin ranks into global ones and drives order-statistic selection.
 
 A build or rebuild measures the gaps of the sorted contents once: that
 one pass gives both the exact ratio and the starting gap bounds.  It then
@@ -44,6 +48,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import (
     DictboostError,
@@ -105,12 +111,14 @@ class AmortizedReport:
 class _Fenwick:
     """Prefix sums over bin sizes with order-statistic descent."""
 
-    def __init__(self, counts: Sequence[int]):
-        self._n = len(counts)
-        self._tree = [0] * (self._n + 1)
-        for i, c in enumerate(counts):
-            if c:
-                self.add(i, c)
+    def __init__(self, counts: Sequence[int] | np.ndarray):
+        self._n = n = len(counts)
+        # node i sums bins [i - lowbit(i), i): a difference of two prefix
+        # sums, so the whole tree fills in a few O(n) numpy passes
+        prefix = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=prefix[1:])
+        i = np.arange(1, n + 1)
+        self._tree = [0, *(prefix[1:] - prefix[i - (i & -i)]).tolist()]
 
     def add(self, i: int, delta: int) -> None:
         i += 1
@@ -140,7 +148,7 @@ class _Fenwick:
 
 
 class DynamicBinDict:
-    """Insert/delete/search over equal-width bins of a widened key range.
+    """Insert/delete/search over equal-width bins of the key hull.
 
     Reads mutate: the bins are splay trees, so ``rank_search`` and
     ``select`` splay the last node they reach to the root of its bin's
@@ -181,20 +189,24 @@ class DynamicBinDict:
             self._delta_max = delta_hat
         self._size = n
         if n:
-            span = contents[-1] - contents[0]
+            lo, span = contents[0], contents[-1] - contents[0]
             ext = -((-span * delta_hat.numerator) // delta_hat.denominator)  # ceil
-            self.range_lo, self.range_hi = contents[0] - ext, contents[-1] + ext
+            self.range_lo, self.range_hi = lo - ext, contents[-1] + ext
         else:
+            lo, span = 0, -1
             self.range_lo, self.range_hi = 0, -1
-        self.bin_width = width = max(1, -(-(self.range_hi - self.range_lo + 1) // self.k))
-        # every key lies in the range, so its bin needs no clamping; a bisect
+        # the bins cut the key hull [lo, lo + span], not the widened range:
+        # ``_bin_of`` clamps a key in either margin into an edge bin
+        self.bin_lo = lo
+        self.bin_width = width = max(1, -(-(span + 1) // self.k))
+        # every key lies in the hull, so its bin needs no clamping; a bisect
         # for the bin's upper edge finds where the next non-empty bin starts
         self._bins: list[SplayTreeDictionary | None] = [None] * self.k
-        counts = [0] * self.k
+        counts = np.zeros(self.k, dtype=np.int64)
         i = 0
         while i < n:
-            b = (contents[i] - self.range_lo) // width
-            j = bisect_left(contents, self.range_lo + (b + 1) * width, i)
+            b = (contents[i] - lo) // width
+            j = bisect_left(contents, lo + (b + 1) * width, i)
             self._bins[b] = SplayTreeDictionary.build(contents[i:j])
             counts[b] = j - i
             i = j
@@ -203,7 +215,7 @@ class DynamicBinDict:
         self.updates_since_rebuild = 0
 
     def _bin_of(self, x: int) -> int:
-        b = (x - self.range_lo) // self.bin_width
+        b = (x - self.bin_lo) // self.bin_width
         if b < 0:
             return 0
         if b >= self.k:
@@ -319,6 +331,11 @@ class DynamicBinDict:
     @property
     def delta_max(self) -> float:
         return float(self._delta_max)
+
+    def occupancy(self) -> tuple[int, int]:
+        """(non-empty bins, keys in the largest bin), counted bin by bin."""
+        sizes = [len(tree) for tree in self._bins if tree is not None and len(tree)]
+        return len(sizes), max(sizes, default=0)
 
     def amortized_report(self) -> AmortizedReport:
         touched = self.ledger.total_touched

@@ -137,6 +137,7 @@ class ReplayResult:
     checkpoints: list[StreamCheckpoint]
     report: AmortizedReport
     ops_applied: int
+    occupancy: tuple[int, int]  # DynamicBinDict.occupancy() after the last op
 
 
 def replay_stream(
@@ -199,5 +200,8 @@ def replay_stream(
     if list(dyn) != mirror:
         raise StreamDivergenceError("final contents disagree with the oracle")
     return ReplayResult(
-        checkpoints=checkpoints, report=dyn.amortized_report(), ops_applied=total
+        checkpoints=checkpoints,
+        report=dyn.amortized_report(),
+        ops_applied=total,
+        occupancy=dyn.occupancy(),
     )

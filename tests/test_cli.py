@@ -6,12 +6,14 @@ exercised the same way a shell user would see them.  Exit code contract:
 """
 
 import csv
+import re
 
 import pytest
 
 from dictboost.bench import BenchRecord, ForestRow, csv_header
 from dictboost.cli import main
-from dictboost.streams import StreamCheckpoint
+from dictboost.dynamic import DynamicBinDict
+from dictboost.streams import OP_DELETE, OP_INSERT, StreamCheckpoint, gen_uniform_stream
 from dictboost.core import MAX_KEY
 from dictboost.workloads import AllTrialsRejectedError, load_keys, save_keys
 
@@ -248,6 +250,25 @@ class TestDynStream:
         assert rc == 0
         assert "300 ops" in capsys.readouterr().err
         assert read_rows(out)[-1]["ops_done"] == "300"
+
+    def test_summary_reports_bin_occupancy(self, keyfile, tmp_path, capsys):
+        rc = main(["dyn-stream", "--initial", str(keyfile), "--ops", "300",
+                   "--k", "16", "--seed", "3", "--out", str(tmp_path / "cp.csv")])
+        assert rc == 0
+        m = re.search(r"bins non-empty (\d+)/16, largest (\d+)", capsys.readouterr().err)
+        assert m, "no occupancy in the summary"
+        # the same stream on a fresh structure, its bins walked one by one
+        initial = load_keys(keyfile).keys
+        d = DynamicBinDict(initial, 16)
+        for op, x in gen_uniform_stream(initial, 300, (1.0, 1.0, 2.0), 3).ops:
+            if op == OP_INSERT:
+                d.insert(x)
+            elif op == OP_DELETE:
+                d.delete(x)
+        sizes = [sum(1 for _ in tree) for tree in d._bins if tree is not None]
+        sizes = [c for c in sizes if c]
+        assert (int(m[1]), int(m[2])) == (len(sizes), max(sizes))
+        assert len(sizes) > 1
 
     def test_zero_ops_exits_2(self, keyfile, capsys):
         assert main(["dyn-stream", "--initial", str(keyfile), "--ops", "0"]) == 2

@@ -12,8 +12,9 @@ Trigger isolation relies on two constructions used throughout:
 """
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from hypothesis.stateful import (
 )
 
 from dictboost.core import MAX_KEY, DictboostError, SearchOutcome, SortedKeySet
-from dictboost.dynamic import DynamicBinDict, RebuildTrigger, build_dynamic
+from dictboost.dynamic import DynamicBinDict, RebuildTrigger, _Fenwick, build_dynamic
 
 from conftest import TEN_KEYS, bulk_rank
 
@@ -46,6 +47,11 @@ def fresh_interior_keys(present, count, lo, hi, seed):
             taken.add(x)
             out.append(x)
     return out
+
+
+def bin_sizes(d):
+    """Keys per bin, counted by walking each bin's tree."""
+    return [sum(1 for _ in tree) if tree is not None else 0 for tree in d._bins]
 
 
 def assert_keys_in_their_bins(d):
@@ -67,10 +73,12 @@ class TestConstruction:
         assert d.range_hi == 939 + 31295 == 32234
         assert d.initial_delta_hat == Fraction(421, 12)
 
-    def test_bin_width_covers_the_whole_range(self):
+    def test_bin_width_covers_the_key_hull(self):
         d = DynamicBinDict(SortedKeySet(TEN_KEYS), k=8)
-        assert d.bin_width * d.k >= d.range_hi - d.range_lo + 1
-        assert (d.bin_width - 1) * d.k < d.range_hi - d.range_lo + 1
+        hull = TEN_KEYS[-1] - TEN_KEYS[0] + 1
+        assert d.bin_lo == TEN_KEYS[0]
+        assert d.bin_width * d.k >= hull
+        assert (d.bin_width - 1) * d.k < hull
 
     def test_needs_two_keys_and_positive_k(self):
         with pytest.raises(DictboostError):
@@ -114,6 +122,130 @@ class TestBinCut:
         d.insert(MAX_KEY)
         assert d.ledger.events[-1].trigger is RebuildTrigger.OUT_OF_RANGE
         assert_keys_in_their_bins(d)
+
+
+class TestHullGeometry:
+    @pytest.mark.parametrize("k", [2, 3, 7, 64, 256, 1000])
+    def test_evenly_spaced_keys_put_one_key_in_each_bin(self, k):
+        keys = list(range(0, 64 * k, 64))
+        d = DynamicBinDict(keys, k)
+        assert [list(tree) for tree in d._bins] == [[x] for x in keys]
+        assert d.occupancy() == (k, 1)
+
+    @pytest.mark.parametrize("x, edge", [
+        (939 + 421, 7),  # above the hull; a gap of 421 keeps the ratio at delta_hat
+        (1000, 7),
+        (0, 0),  # below the hull's low end 47
+        (35, 0),  # a gap of 12 keeps the smallest gap
+    ])
+    def test_margin_key_goes_to_the_edge_bin_without_a_rebuild(self, x, edge):
+        d = DynamicBinDict(SortedKeySet(TEN_KEYS), k=8)
+        assert d.range_lo < x < d.bin_lo or d.bin_lo + d.k * d.bin_width <= x < d.range_hi
+        assert d._bin_of(x) == edge
+        assert d.insert(x) is True
+        assert d.ledger.count() == 0
+        assert x in list(d._bins[edge])
+        assert_keys_in_their_bins(d)
+        mirror = sorted(TEN_KEYS + [x])
+        probes = {d.range_lo, d.range_hi, 0, 2**20}
+        probes.update(y + dy for y in mirror for dy in (-1, 0, 1))
+        for y in sorted(p for p in probes if p >= 0):
+            pos = bisect_left(mirror, y)
+            want = (pos, pos < len(mirror) and mirror[pos] == y)
+            assert d.rank_search(y) == want, y
+        assert [d.select(j) for j in range(len(d))] == mirror
+        assert d.delete(x) is True
+        assert list(d) == TEN_KEYS
+
+    def test_bin_map_is_monotone_across_the_widened_range(self):
+        d = DynamicBinDict(SortedKeySet(TEN_KEYS), k=8)
+        xs = sorted({d.range_lo, d.range_hi, *range(d.range_lo, d.range_hi + 1, 97),
+                     *(y + dy for y in TEN_KEYS for dy in (-1, 0, 1))})
+        bins = [d._bin_of(x) for x in xs]
+        assert bins == sorted(bins)
+        assert bins[0] == 0 and bins[-1] == d.k - 1
+
+    def test_dynamic_mixed_shape_keeps_half_the_bins_occupied(self):
+        """20k uniform keys in [0, 2^40) and k = 256, the shape the
+        dynamic benchmark runs: at least k/2 bins hold keys at the build
+        and after every rebuild of a 1:1:2 stream."""
+        from dictboost import gen_uniform
+        from dictboost.streams import OP_DELETE, OP_INSERT, gen_uniform_stream
+
+        k = 256
+        keys = gen_uniform(20_000, 2**40, seed=11)
+        stream = gen_uniform_stream(keys, 100_000, (1.0, 1.0, 2.0), seed=12)
+        d = DynamicBinDict(keys, k)
+        occupied = [sum(1 for c in bin_sizes(d) if c)]
+        for op, x in stream.ops:
+            before = d.ledger.count()
+            if op == OP_INSERT:
+                d.insert(x)
+            elif op == OP_DELETE:
+                d.delete(x)
+            if d.ledger.count() != before:
+                occupied.append(sum(1 for c in bin_sizes(d) if c))
+        assert d.ledger.count(RebuildTrigger.UPDATE_COUNT) >= 2
+        assert len(occupied) == d.ledger.count() + 1
+        assert min(occupied) >= k // 2, occupied
+
+    def test_occupancy_counts_non_empty_bins_and_the_largest(self):
+        d = DynamicBinDict([0, 1, 2, 3, 4, 1000], k=4)
+        sizes = bin_sizes(d)
+        assert sizes == [5, 0, 0, 1]
+        assert d.occupancy() == (2, 5)
+        d = DynamicBinDict(list(range(0, 64 * 8, 64)), k=8)
+        assert d.delete(0) and d.ledger.count() == 0  # an edge delete merges no gap
+        assert d._bins[0] is not None and bin_sizes(d)[0] == 0
+        assert d.occupancy() == (7, 1)
+
+
+class TestFenwick:
+    @staticmethod
+    def check(counts):
+        fw = _Fenwick(counts)
+        by_adds = _Fenwick([0] * len(counts))  # the fill as one add per bin
+        for i, c in enumerate(counts):
+            by_adds.add(i, c)
+        assert fw._tree == by_adds._tree
+        prefix = [0, *accumulate(counts)]
+        assert [fw.prefix(i) for i in range(len(counts) + 1)] == prefix
+        for j in range(prefix[-1]):
+            b = bisect_right(prefix, j) - 1
+            assert fw.select(j) == (b, j - prefix[b])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_prefix_and_select_match_accumulate(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        for k in [1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 64, 100, 255, 256, 257, 300]:
+            self.check([rng.randrange(4) for _ in range(k)])
+            # mostly empty: a few non-empty bins among many
+            sparse = [0] * k
+            for _ in range(rng.randrange(1, 4)):
+                sparse[rng.randrange(k)] += rng.randrange(1, 6)
+            self.check(sparse)
+            self.check([0] * k)
+
+    def test_adds_after_the_fill(self):
+        import random
+
+        rng = random.Random(7)
+        counts = [0] * 300
+        counts[5], counts[299] = 3, 1
+        fw = _Fenwick(counts)
+        for _ in range(500):
+            i = rng.randrange(300)
+            delta = rng.choice([1, -1]) if counts[i] else 1
+            counts[i] += delta
+            fw.add(i, delta)
+        assert fw._tree == _Fenwick(counts)._tree
+        self.check(counts)
+
+    def test_fill_accepts_a_numpy_array(self):
+        counts = [0, 2, 0, 0, 5, 1, 0]
+        assert _Fenwick(np.array(counts, dtype=np.int64))._tree == _Fenwick(counts)._tree
 
 
 class TestQueries:
@@ -371,6 +503,19 @@ class DynamicAgainstMirror(RuleBasedStateMachine):
     def insert_out_of_range(self, above, offset):
         x = self.d.range_hi + offset if above else self.d.range_lo - offset
         self._insert(min(max(x, 0), MAX_KEY))
+
+    @precondition(lambda self: self.mirror)
+    @rule(above=st.booleans(), data=st.data())
+    def insert_in_margin(self, above, data):
+        """A key strictly between the hull and the widened range's edge:
+        inside the range, so no out-of-range rebuild, but past the bins'
+        cut, so ``_bin_of`` clamps it into an edge bin."""
+        if above:
+            lo, hi = self.mirror[-1] + 1, min(self.d.range_hi, MAX_KEY)
+        else:
+            lo, hi = max(self.d.range_lo, 0), self.mirror[0] - 1
+        if lo <= hi:
+            self._insert(data.draw(st.integers(lo, hi)))
 
     @precondition(lambda self: len(self.mirror) >= 2)
     @rule()
