@@ -240,13 +240,6 @@ def _specs(dict_specs) -> list[tuple[str, DictionaryBuilder]]:
 _MODELS = {"binning": build_binning, "segments": build_segments}
 
 
-def _measure_model(family: str, keys: SortedKeySet, param: int, spec, queries: list, repeats: int):
-    """Build one model configuration and time its queries: (structure,
-    mean_ns)."""
-    d = _MODELS[family](keys, param, spec)
-    return d, measure_ns_per_query(d.rank_search, queries, repeats)
-
-
 def _routing_probe(route: Callable[[int], int], lo: int, hi: int) -> Callable[[int], None]:
     """The model-prediction stage of a query, range guard included, so that
     its cost is comparable to rank_search."""
@@ -384,7 +377,8 @@ def run_space_selection(
     for dict_id, builder in _specs(dict_specs):
         for family, params in grids.items():
             for param in params:
-                d, mean = _measure_model(family, keys, param, (dict_id, builder), queries, repeats)
+                d = _MODELS[family](keys, param, (dict_id, builder))
+                mean = measure_ns_per_query(d.rank_search, queries, repeats)
                 measured.append(
                     (family, dict_id, float(param), d.intervals, d.space_overhead_pct(), mean)
                 )

@@ -13,8 +13,9 @@ Bin ``b`` (1-based) covers keys ``x`` with
 ``upper(b-1) < x <= upper(b)`` where ``upper(b) = lo + floor(b*span/k)``,
 which is exactly the integer form of ``ceil((x-lo)*k/span) == b`` with the
 ``x == lo`` case clamped into bin 1.  :class:`BinGeometry` holds all of
-this arithmetic, and it is exact: intermediate products use
-arbitrary-precision ints (or a decomposed u64 path when it provably
+this arithmetic, for these bins, the forest's and the dynamic dictionary's
+(over the hull of its contents), and it is exact: intermediate products
+use arbitrary-precision ints (or a decomposed u64 path when it provably
 fits), never floats.
 """
 
@@ -28,7 +29,7 @@ from .dictionaries import DictKind, IntervalModel
 PER_BIN_HEADER_BYTES = 24  # dictionary pointer + start/end rank fields
 
 # b * r <= k * r stays below this in BinGeometry.uppers, so no u64 product
-# there can wrap; as r < k <= n, only a set of over 2**31 keys goes past it
+# there can wrap; as r < k, only a geometry of over 2**31 bins goes past it
 _U64_PRODUCT_LIMIT = 2**62
 
 
@@ -43,7 +44,8 @@ class BinGeometry:
     def bin_of(self, x: int) -> int:
         """1-based bin of ``x``, for ``lo <= x <= hi``:
         ``ceil((x - lo) * k / span)`` with the result 0 (only ``x == lo``)
-        clamped to 1.  A one-key range (span 0) is all bin 1."""
+        clamped to 1.  A one-key range (span 0) is all bin 1.  Below ``lo``
+        the result is at most 1, above ``hi`` more than ``k``."""
         span = self.span or 1
         b = ((x - self.lo) * self.k + span - 1) // span
         return b or 1
@@ -60,6 +62,14 @@ class BinGeometry:
         return np.fromiter(
             (lo + (b * span) // k for b in range(k + 1)), dtype=np.uint64, count=k + 1
         )
+
+    def starts(self, keys: np.ndarray) -> np.ndarray:
+        """Cumulative rank table of the sorted uint64 ``keys`` in ``[lo, hi]``:
+        bin ``b`` holds ``keys[starts[b-1]:starts[b]]``, for any ``k``."""
+        starts = np.empty(self.k + 1, dtype=np.int64)
+        starts[0] = 0
+        starts[1:] = np.searchsorted(keys, self.uppers()[1:], side="right")
+        return starts
 
 
 def bin_index(keys: SortedKeySet, k: int, x: int) -> int:
@@ -84,11 +94,7 @@ def bin_starts(keys: SortedKeySet, k: int) -> np.ndarray:
         raise DictboostError("cannot bin an empty key set")
     if not 1 <= k <= n:
         raise DictboostError(f"bin count {k} outside [1, n={n}]")
-    uppers = BinGeometry(keys.lo, keys.hi, k).uppers()
-    starts = np.empty(k + 1, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = np.searchsorted(keys.array, uppers[1:], side="right")
-    return starts
+    return BinGeometry(keys.lo, keys.hi, k).starts(keys.array)
 
 
 def bin_occupancy(keys: SortedKeySet, k: int) -> np.ndarray:

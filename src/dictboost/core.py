@@ -221,7 +221,7 @@ class SortedKeySet:
         return lst[bisect_left(lst, x):bisect_right(lst, y)]
 
 
-def gap_stats(keys: SortedKeySet | Sequence[int]) -> GapStats:
+def gap_stats(keys: SortedKeySet | Sequence[int] | np.ndarray) -> GapStats:
     """Minimum and maximum consecutive gap of a sorted key set (n >= 2).
 
     Gaps are differences of adjacent keys, so they are invariant under a

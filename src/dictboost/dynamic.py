@@ -4,20 +4,18 @@ The static binning model assumes a frozen key range and gap shape.  To
 take inserts and deletes, this variant accepts keys in a *widened* range
 sized from the gap ratio measured at build time (``delta_hat``): with key
 span ``L`` the range is ``[lo - ceil(L * delta_hat), hi + ceil(L * delta_hat)]``,
-and an insert outside it forces a rebuild.  The ``k`` bins cut only the
-key hull ``[lo, hi]``, in bins of width ``ceil((L + 1) / k)``, so they hold
-keys: ``delta_hat`` is ~10^6 on random keys, and bins over the whole range
-would leave all but one or two empty.  A key in either margin between the
-hull and the range edge goes to the nearest edge bin, which keeps the bin
-map monotone.  Each bin is a splay tree; a Fenwick tree over bin sizes
-turns in-bin ranks into global ones and drives order-statistic selection.
+and an insert outside it forces a rebuild.  The ``k`` bins are
+:class:`~dictboost.binning.BinGeometry`'s equal-width bins over the key
+hull ``[lo, hi]`` only, so they hold keys: ``delta_hat`` is ~10^6 on
+random keys, and bins over the whole range would leave all but one or
+two empty.  A key in either margin between the hull and the range edge
+goes to the nearest edge bin, which keeps the bin map monotone.  Each bin
+is a splay tree; a Fenwick tree over bin sizes turns in-bin ranks into
+global ones and drives order-statistic selection.
 
-A build or rebuild measures the gaps of the sorted contents once: that
-one pass gives both the exact ratio and the starting gap bounds.  It then
-cuts the contents bin by bin: from the first key of a non-empty bin, a
-bisect for the bin's upper edge finds where the next one starts, so the
-cut costs one bisect per non-empty bin rather than a bin computation per
-key.
+A build or rebuild converts the sorted contents to one uint64 array: one
+pass over its gaps gives the exact ratio and the starting gap bounds,
+and the geometry's cumulative rank table over it cuts the bins.
 
 Rebuilds fire when either
 * ``n/2`` effective updates have accumulated since the last rebuild
@@ -44,15 +42,18 @@ measurable number rather than a claim.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .binning import BinGeometry
 from .core import (
     DictboostError,
+    InvalidKeySetError,
     MAX_KEY,
     SearchOutcome,
     SortedKeySet,
@@ -157,9 +158,11 @@ class DynamicBinDict:
     """
 
     def __init__(self, keys: SortedKeySet | Iterable[int], k: int):
-        contents = (
-            keys.as_list() if isinstance(keys, SortedKeySet) else sorted(int(v) for v in keys)
-        )
+        if not isinstance(keys, SortedKeySet):
+            keys, duplicates = SortedKeySet.from_unsorted(keys)
+            if duplicates:
+                raise InvalidKeySetError(f"keys must be distinct: {duplicates} duplicates")
+        contents = keys.as_list()
         if len(contents) < 2:
             raise DictboostError("dynamic build needs at least two initial keys")
         if k < 1:
@@ -177,8 +180,9 @@ class DynamicBinDict:
         """Bin the sorted ``contents`` afresh.  The one gap pass sets the
         bounds and ``delta_hat = max(exact ratio, floor)``."""
         n = len(contents)
+        arr = np.array(contents, dtype=np.uint64)
         if n >= 2:
-            gs = gap_stats(contents)
+            gs = gap_stats(arr)
             self._g_min_bound, self._g_max_bound = gs.g_min, gs.g_max
             exact = Fraction(gs.g_max, gs.g_min)
         else:
@@ -189,38 +193,32 @@ class DynamicBinDict:
             self._delta_max = delta_hat
         self._size = n
         if n:
-            lo, span = contents[0], contents[-1] - contents[0]
-            ext = -((-span * delta_hat.numerator) // delta_hat.denominator)  # ceil
-            self.range_lo, self.range_hi = lo - ext, contents[-1] + ext
+            lo, hi = contents[0], contents[-1]
+            ext = -((-(hi - lo) * delta_hat.numerator) // delta_hat.denominator)  # ceil
+            self.range_lo, self.range_hi = lo - ext, hi + ext
         else:
-            lo, span = 0, -1
+            lo = hi = 0
             self.range_lo, self.range_hi = 0, -1
-        # the bins cut the key hull [lo, lo + span], not the widened range:
-        # ``_bin_of`` clamps a key in either margin into an edge bin
-        self.bin_lo = lo
-        self.bin_width = width = max(1, -(-(span + 1) // self.k))
-        # every key lies in the hull, so its bin needs no clamping; a bisect
-        # for the bin's upper edge finds where the next non-empty bin starts
+        # bins over the key hull, not the widened range: see ``_bin_of``
+        self._geometry = BinGeometry(lo, hi, self.k)
+        starts = self._geometry.starts(arr)
+        counts = np.diff(starts)
+        filled = np.flatnonzero(counts)
         self._bins: list[SplayTreeDictionary | None] = [None] * self.k
-        counts = np.zeros(self.k, dtype=np.int64)
-        i = 0
-        while i < n:
-            b = (contents[i] - lo) // width
-            j = bisect_left(contents, lo + (b + 1) * width, i)
+        for b, i, j in zip(filled.tolist(), starts[filled].tolist(), starts[filled + 1].tolist()):
             self._bins[b] = SplayTreeDictionary.build(contents[i:j])
-            counts[b] = j - i
-            i = j
         self._fenwick = _Fenwick(counts)
         self.n_at_rebuild = n
         self.updates_since_rebuild = 0
 
     def _bin_of(self, x: int) -> int:
-        b = (x - self.bin_lo) // self.bin_width
-        if b < 0:
+        """0-based bin of ``x``; outside the hull, the nearest edge bin."""
+        b = self._geometry.bin_of(x)
+        if b <= 1:
             return 0
         if b >= self.k:
             return self.k - 1
-        return b
+        return b - 1
 
     def _rebuild(self, trigger: RebuildTrigger, extra: int | None = None) -> None:
         contents = list(self)
@@ -281,8 +279,9 @@ class DynamicBinDict:
     # -- updates ----------------------------------------------------------------
 
     def insert(self, x: int) -> bool:
-        if not 0 <= x <= MAX_KEY:
-            raise DictboostError(f"key {x} outside u64 range")
+        if not (isinstance(x, Integral) and 0 <= x <= MAX_KEY):
+            raise DictboostError(f"key {x!r} is not an integer in the u64 range")
+        x = int(x)  # a numpy integer would wrap in the range and bin arithmetic
         if x < self.range_lo or x > self.range_hi:
             # cannot be present; rebuild around the new extremes right away
             self.total_updates += 1

@@ -12,6 +12,7 @@ Trigger isolation relies on two constructions used throughout:
 """
 
 import math
+import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -28,16 +29,26 @@ from hypothesis.stateful import (
     rule,
 )
 
-from dictboost.core import MAX_KEY, DictboostError, SearchOutcome, SortedKeySet
+from dictboost.binning import bin_index, bin_starts
+from dictboost.core import MAX_KEY, DictboostError, InvalidKeySetError, SearchOutcome, SortedKeySet
 from dictboost.dynamic import DynamicBinDict, RebuildTrigger, _Fenwick, build_dynamic
 
 from conftest import TEN_KEYS, bulk_rank
 
 
+
+def _u64_extremes():
+    """Both u64 ends, 2**63 and 30 random keys between."""
+    rng = random.Random(23)
+    inner = {rng.randrange(3, MAX_KEY - 1) for _ in range(30)}
+    return sorted({0, 1, 2, 2**63, MAX_KEY - 1, MAX_KEY} | inner)
+
+
+U64_EXTREMES = _u64_extremes()
+
+
 def fresh_interior_keys(present, count, lo, hi, seed):
     """``count`` keys strictly inside (lo, hi) and absent from ``present``."""
-    import random
-
     rng = random.Random(seed)
     taken = set(present)
     out = []
@@ -73,13 +84,6 @@ class TestConstruction:
         assert d.range_hi == 939 + 31295 == 32234
         assert d.initial_delta_hat == Fraction(421, 12)
 
-    def test_bin_width_covers_the_key_hull(self):
-        d = DynamicBinDict(SortedKeySet(TEN_KEYS), k=8)
-        hull = TEN_KEYS[-1] - TEN_KEYS[0] + 1
-        assert d.bin_lo == TEN_KEYS[0]
-        assert d.bin_width * d.k >= hull
-        assert (d.bin_width - 1) * d.k < hull
-
     def test_needs_two_keys_and_positive_k(self):
         with pytest.raises(DictboostError):
             DynamicBinDict(SortedKeySet([1]), k=4)
@@ -89,6 +93,18 @@ class TestConstruction:
     def test_build_dynamic_accepts_plain_iterables(self):
         d = build_dynamic([30, 10, 20], k=2)
         assert list(d) == [10, 20, 30]
+
+    @pytest.mark.parametrize("keys, reason", [
+        ([-5, 3], "must lie in"),
+        ([1, 2**64], "must lie in"),
+        (["a", "b"], "must be integers"),
+        ([1.5, 3], "must be integers"),
+        ([1, 1, 2], "must be distinct"),
+    ], ids=["negative", "above-u64", "strings", "float", "duplicate"])
+    @pytest.mark.parametrize("build", [DynamicBinDict, build_dynamic])
+    def test_bad_plain_iterables_raise_invalid_key_set(self, build, keys, reason):
+        with pytest.raises(InvalidKeySetError, match=reason):
+            build(keys, 2)
 
 
 class TestBinCut:
@@ -124,6 +140,61 @@ class TestBinCut:
         assert_keys_in_their_bins(d)
 
 
+class TestSharedBinCut:
+    """The dynamic bins are the static model's bins of the key hull: for
+    k <= n they hold the windows ``bin_starts`` cuts, and ``_bin_of`` is
+    ``bin_index`` inside the hull and the nearest edge bin outside it."""
+
+    KEY_SETS = pytest.mark.parametrize(
+        "keys", [TEN_KEYS, U64_EXTREMES], ids=["ten", "u64-extremes"]
+    )
+    BIN_COUNTS = pytest.mark.parametrize("k", [1, 3, 7, "n"])
+
+    @staticmethod
+    def _build(keys, k):
+        sk, k = SortedKeySet(keys), len(keys) if k == "n" else k
+        return sk, k, DynamicBinDict(sk, k)
+
+    @KEY_SETS
+    @BIN_COUNTS
+    def test_bins_hold_the_bin_starts_windows(self, keys, k):
+        sk, k, d = self._build(keys, k)
+        starts = bin_starts(sk, k).tolist()
+        assert [list(tree) if tree is not None else [] for tree in d._bins] == [
+            keys[starts[b]:starts[b + 1]] for b in range(k)
+        ]
+        assert_keys_in_their_bins(d)
+
+    @KEY_SETS
+    @BIN_COUNTS
+    def test_bin_of_is_bin_index_inside_the_hull(self, keys, k):
+        sk, k, d = self._build(keys, k)
+        lo, hi = keys[0], keys[-1]
+        if hi - lo < 10_000:
+            probes = range(lo, hi + 1)
+        else:
+            rng = random.Random(29)
+            probes = {lo, hi, *(rng.randrange(lo, hi) for _ in range(2000))}
+            probes.update(y + dy for y in keys for dy in (-1, 0, 1))
+            edges = [lo + (b * (hi - lo)) // k for b in range(k + 1)]
+            probes.update(e + de for e in edges for de in (-1, 0, 1))
+            probes = sorted(x for x in probes if lo <= x <= hi)
+        for x in probes:
+            assert d._bin_of(x) + 1 == bin_index(sk, k, x), x
+
+    @KEY_SETS
+    @BIN_COUNTS
+    def test_bin_of_clamps_outside_the_hull_to_the_edge_bins(self, keys, k):
+        sk, k, d = self._build(keys, k)
+        lo, hi = keys[0], keys[-1]
+        assert d.range_lo < lo and hi < d.range_hi
+        for x in {d.range_lo, d.range_lo + 1, (d.range_lo + lo) // 2, lo - 1}:
+            assert d._bin_of(x) == 0, x
+        for x in {hi + 1, (hi + d.range_hi) // 2, d.range_hi - 1, d.range_hi}:
+            assert d._bin_of(x) == k - 1, x
+
+
+
 class TestHullGeometry:
     @pytest.mark.parametrize("k", [2, 3, 7, 64, 256, 1000])
     def test_evenly_spaced_keys_put_one_key_in_each_bin(self, k):
@@ -140,7 +211,7 @@ class TestHullGeometry:
     ])
     def test_margin_key_goes_to_the_edge_bin_without_a_rebuild(self, x, edge):
         d = DynamicBinDict(SortedKeySet(TEN_KEYS), k=8)
-        assert d.range_lo < x < d.bin_lo or d.bin_lo + d.k * d.bin_width <= x < d.range_hi
+        assert d.range_lo < x < TEN_KEYS[0] or TEN_KEYS[-1] < x < d.range_hi
         assert d._bin_of(x) == edge
         assert d.insert(x) is True
         assert d.ledger.count() == 0
@@ -417,6 +488,23 @@ class TestOutOfRangeTrigger:
             d.insert(-1)
         with pytest.raises(DictboostError):
             d.insert(2**64)
+
+    def test_insert_of_a_non_integer_is_rejected(self):
+        d = DynamicBinDict([1, 2, 4], k=2)
+        assert d.range_lo < 2.5 < d.range_hi
+        with pytest.raises(DictboostError):
+            d.insert(2.5)
+        assert list(d) == [1, 2, 4] and d.total_updates == 0
+
+    def test_insert_of_a_numpy_integer_stores_a_python_int(self):
+        d = DynamicBinDict([100, 200, 400], k=4)
+        assert d.insert(np.uint64(90))
+        assert d.ledger.count(RebuildTrigger.UPDATE_COUNT) == 1
+        # gaps 10..200 give delta_hat 20; the span 310 widens by 6200 a side
+        assert (d.range_lo, d.range_hi) == (90 - 6200, 400 + 6200)
+        assert d.insert(50) and d.ledger.count() == 1
+        assert list(d) == [50, 90, 100, 200, 400]
+        assert {type(x) for x in d} == {int}
 
 
 class TestGapBounds:

@@ -1,12 +1,20 @@
-"""No module in ``src/`` or ``tests/`` imports a name it never uses.
+"""Import hygiene.
 
-The project ships no linter, so this reads each file's syntax tree: every
+No module in ``src/`` or ``tests/`` imports a name it never uses.  The
+project ships no linter, so this reads each file's syntax tree: every
 name an import binds must be read somewhere in the module (string
 annotations included) or be listed in ``__all__``.
+
+The benchmark's workload modules import library names, private ones
+included, so a change that deletes one of them fails here, in the main
+suite, and not only when the benchmark runs.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,3 +84,13 @@ def test_no_unused_imports_in_src_or_tests():
         if (unused := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+@pytest.mark.parametrize("module", ["perfbench.static", "perfbench.dynamic_mixed"])
+def test_the_benchmark_workloads_import(module, monkeypatch):
+    """``perfbench.static`` imports ``bin_starts``, ``build_binning``,
+    ``build_segments``, ``segments._fit_segments`` and
+    ``BranchyBinarySearch``; ``perfbench.dynamic_mixed`` the dynamic
+    dictionary and the stream generator."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    importlib.import_module(module)
