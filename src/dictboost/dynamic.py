@@ -9,9 +9,13 @@ and an insert outside it forces a rebuild.  The ``k`` bins are
 hull ``[lo, hi]`` only, so they hold keys: ``delta_hat`` is ~10^6 on
 random keys, and bins over the whole range would leave all but one or
 two empty.  A key in either margin between the hull and the range edge
-goes to the nearest edge bin, which keeps the bin map monotone.  Each bin
-is a splay tree; a Fenwick tree over bin sizes turns in-bin ranks into
-global ones and drives order-statistic selection.
+goes to the nearest edge bin, which keeps the bin map monotone.  Each
+non-empty bin is a sorted Python list searched by ``bisect``; a Fenwick
+tree over bin sizes turns in-bin ranks into global ones and drives
+order-statistic selection.  Reads do not mutate the structure.  An update
+is one bisect plus a ``list.insert`` or ``del`` that shifts at most the
+bin's load of slots (one C ``memmove``), and a Fenwick update over
+``log2 k`` nodes.
 
 A build or rebuild converts the sorted contents to one uint64 array: one
 pass over its gaps gives the exact ratio and the starting gap bounds,
@@ -42,10 +46,11 @@ measurable number rather than a claim.
 from __future__ import annotations
 
 import enum
-from bisect import insort
+import operator
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Integral
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,10 +64,18 @@ from .core import (
     SortedKeySet,
     gap_stats,
 )
-from .dictionaries.splay import SplayTreeDictionary
 
 _NO_GAP_MIN = 1 << 80  # placeholder bounds while fewer than two keys exist
 _NO_GAP_MAX = 0
+
+
+def _as_key(x) -> int:
+    """``x`` as a Python int: a numpy integer would wrap in the range and
+    bin arithmetic."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DictboostError(f"key {x!r} is not an integer") from None
 
 
 class RebuildTrigger(enum.Enum):
@@ -151,10 +164,12 @@ class _Fenwick:
 class DynamicBinDict:
     """Insert/delete/search over equal-width bins of the key hull.
 
-    Reads mutate: the bins are splay trees, so ``rank_search`` and
-    ``select`` splay the last node they reach to the root of its bin's
-    tree.  Answers do not change, but concurrent readers need exclusive
-    access, and a read's cost depends on the reads before it.
+    Each bin is a sorted list of its keys, or ``None`` while no key has
+    reached it since the last rebuild.  ``rank_search`` is the bin's
+    Fenwick prefix plus one ``bisect_left`` in its list, and ``select`` a
+    Fenwick descent plus one list index; neither mutates, so readers need
+    no exclusive access.  An insert or delete bisects once and shifts at
+    most the bin's load of list slots.
     """
 
     def __init__(self, keys: SortedKeySet | Iterable[int], k: int):
@@ -204,9 +219,9 @@ class DynamicBinDict:
         starts = self._geometry.starts(arr)
         counts = np.diff(starts)
         filled = np.flatnonzero(counts)
-        self._bins: list[SplayTreeDictionary | None] = [None] * self.k
+        self._bins: list[list[int] | None] = [None] * self.k
         for b, i, j in zip(filled.tolist(), starts[filled].tolist(), starts[filled + 1].tolist()):
-            self._bins[b] = SplayTreeDictionary.build(contents[i:j])
+            self._bins[b] = contents[i:j]
         self._fenwick = _Fenwick(counts)
         self.n_at_rebuild = n
         self.updates_since_rebuild = 0
@@ -221,7 +236,7 @@ class DynamicBinDict:
         return b - 1
 
     def _rebuild(self, trigger: RebuildTrigger, extra: int | None = None) -> None:
-        contents = list(self)
+        contents = list(self)  # the non-empty bins' lists, chained in C
         if extra is not None:
             insort(contents, extra)
         floor = 2 * self.delta_hat if trigger is RebuildTrigger.DELTA_GROWTH else 0
@@ -253,67 +268,84 @@ class DynamicBinDict:
         return self._size
 
     def rank_search(self, x: int) -> SearchOutcome:
+        x = _as_key(x)
         if self._size == 0:
             return SearchOutcome(0, False)
         b = self._bin_of(x)
         base = self._fenwick.prefix(b)
-        tree = self._bins[b]
-        if tree is None or len(tree) == 0:
+        keys = self._bins[b]
+        if not keys:
             return SearchOutcome(base, False)
-        r, found = tree.rank_search(x)
-        return SearchOutcome(base + r, found)
+        i = bisect_left(keys, x)
+        return SearchOutcome(base + i, i < len(keys) and keys[i] == x)
 
     def select(self, j: int) -> int:
         if not 0 <= j < self._size:
             raise IndexError(f"rank {j} out of range for size {self._size}")
         b, off = self._fenwick.select(j)
-        tree = self._bins[b]
-        assert tree is not None
-        return tree.select(off)
+        return self._bins[b][off]
 
     def __iter__(self):
-        for tree in self._bins:
-            if tree is not None:
-                yield from tree
+        # the non-empty bins' lists, concatenated; ``filter`` skips the
+        # empty ones in C, which matters at k >> n
+        return chain.from_iterable(filter(None, self._bins))
+
+    def _neighbours(self, b: int, keys: list[int], i: int) -> tuple[int | None, int | None]:
+        """The keys just below and above ``keys[i]``, the key at offset
+        ``i`` of bin ``b``, or ``None`` past either end of the contents.
+        Only a key at a bin edge takes a Fenwick select."""
+        pred = keys[i - 1] if i > 0 else None
+        succ = keys[i + 1] if i + 1 < len(keys) else None
+        if pred is None or succ is None:
+            r = self._fenwick.prefix(b) + i
+            if pred is None and r > 0:
+                pred = self.select(r - 1)
+            if succ is None and r + 1 < self._size:
+                succ = self.select(r + 1)
+        return pred, succ
 
     # -- updates ----------------------------------------------------------------
 
     def insert(self, x: int) -> bool:
-        if not (isinstance(x, Integral) and 0 <= x <= MAX_KEY):
+        x = _as_key(x)
+        if not 0 <= x <= MAX_KEY:
             raise DictboostError(f"key {x!r} is not an integer in the u64 range")
-        x = int(x)  # a numpy integer would wrap in the range and bin arithmetic
         if x < self.range_lo or x > self.range_hi:
             # cannot be present; rebuild around the new extremes right away
             self.total_updates += 1
             self._rebuild(RebuildTrigger.OUT_OF_RANGE, extra=x)
             return True
         b = self._bin_of(x)
-        tree = self._bins[b]
-        if tree is None:
-            tree = SplayTreeDictionary()
-            self._bins[b] = tree
-        if not tree.insert(x):
+        keys = self._bins[b]
+        if keys is None:
+            keys = self._bins[b] = []
+        i = bisect_left(keys, x)
+        if i < len(keys) and keys[i] == x:
             return False
+        keys.insert(i, x)
         self._fenwick.add(b, 1)
         self._size += 1
-        r = self.rank_search(x).rank
-        if r > 0:
-            self._note_gap(x - self.select(r - 1))
-        if r + 1 < self._size:
-            self._note_gap(self.select(r + 1) - x)
+        pred, succ = self._neighbours(b, keys, i)
+        if pred is not None:
+            self._note_gap(x - pred)
+        if succ is not None:
+            self._note_gap(succ - x)
         self._after_update()
         return True
 
     def delete(self, x: int) -> bool:
+        x = _as_key(x)
         if x < self.range_lo or x > self.range_hi:
-            return False  # cannot be present; no search, so no tree splays
-        r, found = self.rank_search(x)
-        if not found:
-            return False
-        pred = self.select(r - 1) if r > 0 else None
-        succ = self.select(r + 1) if r + 1 < self._size else None
+            return False  # cannot be present
         b = self._bin_of(x)
-        self._bins[b].delete(x)
+        keys = self._bins[b]
+        if not keys:
+            return False
+        i = bisect_left(keys, x)
+        if i == len(keys) or keys[i] != x:
+            return False
+        pred, succ = self._neighbours(b, keys, i)
+        del keys[i]
         self._fenwick.add(b, -1)
         self._size -= 1
         if pred is not None and succ is not None:
@@ -333,7 +365,7 @@ class DynamicBinDict:
 
     def occupancy(self) -> tuple[int, int]:
         """(non-empty bins, keys in the largest bin), counted bin by bin."""
-        sizes = [len(tree) for tree in self._bins if tree is not None and len(tree)]
+        sizes = [len(keys) for keys in self._bins if keys]
         return len(sizes), max(sizes, default=0)
 
     def amortized_report(self) -> AmortizedReport:

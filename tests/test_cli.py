@@ -265,7 +265,7 @@ class TestDynStream:
                 d.insert(x)
             elif op == OP_DELETE:
                 d.delete(x)
-        sizes = [sum(1 for _ in tree) for tree in d._bins if tree is not None]
+        sizes = [sum(1 for _ in held) for held in d._bins if held is not None]
         sizes = [c for c in sizes if c]
         assert (int(m[1]), int(m[2])) == (len(sizes), max(sizes))
         assert len(sizes) > 1

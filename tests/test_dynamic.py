@@ -11,11 +11,13 @@ Trigger isolation relies on two constructions used throughout:
   ratio up and exercise the doubling rule.
 """
 
+import importlib
 import math
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,14 @@ from hypothesis.stateful import (
 
 from dictboost.binning import bin_index, bin_starts
 from dictboost.core import MAX_KEY, DictboostError, InvalidKeySetError, SearchOutcome, SortedKeySet
-from dictboost.dynamic import DynamicBinDict, RebuildTrigger, _Fenwick, build_dynamic
+from dictboost.dynamic import (
+    _NO_GAP_MAX,
+    _NO_GAP_MIN,
+    DynamicBinDict,
+    RebuildTrigger,
+    _Fenwick,
+    build_dynamic,
+)
 
 from conftest import TEN_KEYS, bulk_rank
 
@@ -61,15 +70,15 @@ def fresh_interior_keys(present, count, lo, hi, seed):
 
 
 def bin_sizes(d):
-    """Keys per bin, counted by walking each bin's tree."""
-    return [sum(1 for _ in tree) if tree is not None else 0 for tree in d._bins]
+    """Keys per bin, counted by walking each bin's list."""
+    return [sum(1 for _ in keys) if keys is not None else 0 for keys in d._bins]
 
 
 def assert_keys_in_their_bins(d):
     """Every key sits in the bin ``_bin_of`` names, and the Fenwick tree
     counts each bin's keys."""
-    for b, tree in enumerate(d._bins):
-        keys = list(tree) if tree is not None else []
+    for b, held in enumerate(d._bins):
+        keys = list(held) if held is not None else []
         assert all(d._bin_of(x) == b for x in keys), f"bin {b}: {keys}"
         assert d._fenwick.prefix(b + 1) - d._fenwick.prefix(b) == len(keys)
     assert d._fenwick.prefix(d.k) == len(d)
@@ -160,7 +169,7 @@ class TestSharedBinCut:
     def test_bins_hold_the_bin_starts_windows(self, keys, k):
         sk, k, d = self._build(keys, k)
         starts = bin_starts(sk, k).tolist()
-        assert [list(tree) if tree is not None else [] for tree in d._bins] == [
+        assert [list(held) if held is not None else [] for held in d._bins] == [
             keys[starts[b]:starts[b + 1]] for b in range(k)
         ]
         assert_keys_in_their_bins(d)
@@ -200,7 +209,7 @@ class TestHullGeometry:
     def test_evenly_spaced_keys_put_one_key_in_each_bin(self, k):
         keys = list(range(0, 64 * k, 64))
         d = DynamicBinDict(keys, k)
-        assert [list(tree) for tree in d._bins] == [[x] for x in keys]
+        assert [list(held) for held in d._bins] == [[x] for x in keys]
         assert d.occupancy() == (k, 1)
 
     @pytest.mark.parametrize("x, edge", [
@@ -328,22 +337,19 @@ class TestQueries:
         assert d.rank_search(701) == SearchOutcome(9, False)
         assert len(d) == 11
 
-    def test_reads_splay_the_bin_tree(self):
-        """A read mutates: it splays the last node it reached to its bin
-        tree's root, and the answer stays the same."""
+    def test_reads_leave_the_bins_unchanged(self):
+        """Reads answer like a bisect mirror and leave every bin's list as
+        it was, in one bin and in several."""
         keys = list(range(0, 1000, 10))
-        d = DynamicBinDict(SortedKeySet(keys), k=1)
-        tree = d._bins[0]  # one bin: every key sits in this tree
-        assert tree.root_key == 500  # built balanced
-        for x in (30, 980, 500, 30):  # hits: the key itself comes to the root
-            before = tree.root_key
-            assert d.rank_search(x) == SearchOutcome(x // 10, True)
-            assert tree.root_key == x != before
-        before = tree.root_key
-        assert d.rank_search(975) == SearchOutcome(98, False)
-        assert tree.root_key in (970, 980) and tree.root_key != before
-        assert d.rank_search(975) == SearchOutcome(98, False)
-        assert list(d) == keys
+        for k in (1, 7):
+            d = DynamicBinDict(SortedKeySet(keys), k=k)
+            before = [None if b is None else list(b) for b in d._bins]
+            for x in (30, 980, 500, 30, 975, 975, 0, 990, -1, 5000):
+                pos = bisect_left(keys, x)
+                assert d.rank_search(x) == (pos, pos < len(keys) and keys[pos] == x), x
+            assert [d.select(j) for j in range(len(keys))] == keys
+            assert d._bins == before
+            assert list(d) == keys
 
     def test_select_tracks_sorted_contents(self):
         d = DynamicBinDict(SortedKeySet(TEN_KEYS), k=4)
@@ -378,6 +384,68 @@ class TestQueries:
                 ranks, found = bulk_rank(np.asarray(mirror, np.uint64), [x])
                 assert d.rank_search(x) == (int(ranks[0]), bool(found[0]))
         assert list(d) == mirror
+
+
+class TestProbeTypes:
+    """A numpy integer probe answers like the same Python int; below the
+    hull its ``uint64`` arithmetic would wrap into a high bin."""
+
+    def test_numpy_probe_below_the_hull_gets_rank_zero(self):
+        base = 10**12
+        d = DynamicBinDict([base, base + 10, base + 30, base + 1000], k=4)
+        x = base - 500
+        assert d.range_lo < x
+        assert d.rank_search(x) == SearchOutcome(0, False)
+        assert d.rank_search(np.uint64(x)) == SearchOutcome(0, False)
+
+    @staticmethod
+    def _below_the_hull(seed):
+        rng = random.Random(seed)
+        base = 10**12
+        keys = sorted(rng.sample(range(base, base + 2**30), 2000))
+        d = DynamicBinDict(keys, k=1024)
+        assert d.range_lo < 0
+        probes = sorted(rng.sample(range(0, base), 300))
+        return keys, d, probes
+
+    def test_numpy_probes_below_the_hull_rank_search_like_ints(self):
+        keys, d, probes = self._below_the_hull(seed=41)
+        for x in probes:
+            assert d.rank_search(np.uint64(x)) == d.rank_search(x) == (0, False), x
+        for x in keys[:50]:
+            assert d.rank_search(np.uint64(x - 1)) == d.rank_search(x - 1)
+            assert d.rank_search(np.uint64(x)) == d.rank_search(x)
+        assert list(d) == keys
+
+    def test_numpy_probes_below_the_hull_delete_like_ints(self):
+        """Keys inserted into the margin below the hull, each by a gap of
+        at least half the largest and at most the largest, so that no
+        rebuild moves the hull under them; each is deleted again through a
+        ``uint64`` probe.  The gaps are wider than ``span / k``, where a
+        wrapped bin formula lands in the top bin."""
+        keys, d, _ = self._below_the_hull(seed=43)
+        g_max = d.gap_bounds[1]
+        lo = keys[0]
+        assert g_max // 2 > (keys[-1] - lo) // d.k
+        margin = random.Random(47).sample(range(lo - g_max, lo - g_max // 2), 300)
+        for x in margin:
+            assert d.delete(np.uint64(x)) is False
+            assert d.insert(x) is True
+            assert d.rank_search(np.uint64(x)) == (0, True), x
+            assert d.delete(np.uint64(x)) is True, x
+            assert d.delete(np.uint64(x)) is False
+        assert d.ledger.count() == 0 and d.total_updates == 600
+        assert list(d) == keys
+        assert {type(y) for y in d} == {int}
+
+    @pytest.mark.parametrize("probe", [2.5, np.float64(3.0), "7", None, Fraction(3, 1)],
+                             ids=["float", "np-float", "str", "none", "fraction"])
+    def test_non_integral_probes_raise(self, probe):
+        d = DynamicBinDict([1, 2, 4, 8], k=2)
+        for op in (d.rank_search, d.delete, d.insert):
+            with pytest.raises(DictboostError, match="not an integer"):
+                op(probe)
+        assert list(d) == [1, 2, 4, 8] and d.total_updates == 0
 
 
 class TestUpdateCountTrigger:
@@ -549,6 +617,23 @@ class TestGapBounds:
         assert rep.delta_max >= float(d.initial_delta_hat)
 
 
+class TestBenchmarkStream:
+    def test_the_dynamic_mixed_stream_replays_without_a_wrong_answer(self, monkeypatch):
+        """The benchmark's gated ``dynamic-mixed`` stream at its default
+        seed (20k keys, 256 bins, 150k ops), replayed once through the
+        library and checked against the workload's own bisect mirror
+        (``mirror_replay``, run by ``_prepare``)."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        dm = importlib.import_module("perfbench.dynamic_mixed")
+        inp = dm._prepare(0)
+        d = dm._setup(inp)
+        answers = [op(x) for op, x in zip(dm._bound_ops(d, inp), inp.keys)]
+        assert len(answers) == len(inp.expected) == dm.N_OPS
+        assert dm.count_wrong(answers, inp.expected) == 0
+        assert d.ledger.count(RebuildTrigger.UPDATE_COUNT) >= dm.MIN_UPDATE_COUNT_REBUILDS
+        assert d.ledger.count(RebuildTrigger.OUT_OF_RANGE) == 0
+
+
 _EDGE_KEYS = st.one_of(
     st.sampled_from([0, 1, 2**63, MAX_KEY - 1, MAX_KEY]),
     st.integers(0, 2000),
@@ -568,20 +653,44 @@ class DynamicAgainstMirror(RuleBasedStateMachine):
     def build(self, keys, k):
         self.mirror = sorted(keys)
         self.d = DynamicBinDict(keys, k)
+        self._reset_gap_bounds()
+
+    # the documented gap-bound rule, kept beside the structure's own
+    def _reset_gap_bounds(self):
+        """What a build or rebuild sets: the exact extremes, or the
+        placeholders while fewer than two keys exist."""
+        gaps = [b - a for a, b in zip(self.mirror, self.mirror[1:])]
+        self.bounds = (min(gaps), max(gaps)) if gaps else (_NO_GAP_MIN, _NO_GAP_MAX)
+
+    def _note_gaps(self, *gaps):
+        g_min, g_max = self.bounds
+        self.bounds = min([g_min, *gaps]), max([g_max, *gaps])
 
     def _insert(self, x):
         pos = bisect_left(self.mirror, x)
         absent = pos == len(self.mirror) or self.mirror[pos] != x
+        rebuilds = self.d.ledger.count()
         assert self.d.insert(x) is absent
         if absent:
             self.mirror.insert(pos, x)
+            # an insert notes the gaps to the new key's neighbours
+            near = self.mirror[max(pos - 1, 0):pos + 2]
+            self._note_gaps(*(b - a for a, b in zip(near, near[1:])))
+        if self.d.ledger.count() != rebuilds:
+            self._reset_gap_bounds()
 
     def _delete(self, x):
         pos = bisect_left(self.mirror, x)
         present = pos < len(self.mirror) and self.mirror[pos] == x
+        rebuilds = self.d.ledger.count()
         assert self.d.delete(x) is present
         if present:
             del self.mirror[pos]
+            # a delete between two keys notes the merged gap
+            if 0 < pos < len(self.mirror):
+                self._note_gaps(self.mirror[pos] - self.mirror[pos - 1])
+        if self.d.ledger.count() != rebuilds:
+            self._reset_gap_bounds()
 
     @rule(x=_EDGE_KEYS)
     def insert(self, x):
@@ -612,6 +721,16 @@ class DynamicAgainstMirror(RuleBasedStateMachine):
         if gaps:
             width, a = min(gaps)
             self._insert(a + width // 2)
+
+    @precondition(lambda self: len(self.mirror) >= 2 and self.d.k > 1)
+    @rule(data=st.data())
+    def insert_at_a_bin_edge(self, data):
+        """The last key one bin can hold or the first of the next: one
+        neighbour lies in another bin, so the gap it makes is noted
+        through a Fenwick selection."""
+        uppers = self.d._geometry.uppers().tolist()
+        edge = uppers[data.draw(st.integers(1, self.d.k - 1))]
+        self._insert(edge + data.draw(st.integers(0, 1)))
 
     @rule(x=_EDGE_KEYS)
     def delete(self, x):
@@ -649,6 +768,10 @@ class DynamicAgainstMirror(RuleBasedStateMachine):
         assert len(self.d) == len(self.mirror)
         assert list(self.d) == self.mirror
         assert_keys_in_their_bins(self.d)
+
+    @invariant()
+    def gap_bounds_follow_the_documented_rule(self):
+        assert self.d.gap_bounds == self.bounds
 
     @invariant()
     def gap_bounds_bracket_the_true_extremes(self):
