@@ -11,10 +11,10 @@ speed drifts in phases of seconds that move a lone pass by 20-30%;
 alternating blocks lets such a phase slow both sides alike, so it drops
 out of the ratio.
 
-All row types carry a leading ``schema`` column (currently 2) so the CSV
-layout can evolve without breaking downstream plotting.  Splay rows are
-flagged ``order_sensitive`` because self-adjustment makes their timings a
-function of the query order.
+``write_csv`` puts a leading ``schema`` column (currently 2) before the
+row fields so the CSV layout can evolve without breaking downstream
+plotting.  Splay rows are flagged ``order_sensitive`` because
+self-adjustment makes their timings a function of the query order.
 """
 
 from __future__ import annotations
@@ -139,7 +139,6 @@ def _queries_of(workload) -> list:
 
 @dataclass
 class BenchRecord:
-    schema: int
     dataset_id: str
     dictionary_id: str
     model_id: str  # none | binning | segments
@@ -156,7 +155,6 @@ class BenchRecord:
 
 @dataclass
 class DeltaRow:
-    schema: int
     dataset_id: str
     status: str  # ok | skipped_small_n
     n: int
@@ -171,7 +169,6 @@ class DeltaRow:
 
 @dataclass
 class SpaceRow:
-    schema: int
     dataset_id: str
     bound_pct: float
     family: str  # binning | segments
@@ -185,7 +182,6 @@ class SpaceRow:
 
 @dataclass
 class ForestRow:
-    schema: int
     dataset_id: str
     mode: str
     k: int
@@ -196,7 +192,8 @@ class ForestRow:
 
 
 def csv_header(row_type) -> list[str]:
-    return [f.name for f in fields(row_type)]
+    """The CSV columns: ``schema``, then the row type's fields."""
+    return ["schema", *(f.name for f in fields(row_type))]
 
 
 def _cell(v) -> str:
@@ -220,7 +217,7 @@ def write_csv(rows: Sequence, out) -> None:
         w = csv.writer(out)
         w.writerow(header)
         for row in rows:
-            w.writerow([_cell(getattr(row, name)) for name in header])
+            w.writerow([SCHEMA_VERSION, *(_cell(getattr(row, name)) for name in header[1:])])
     finally:
         if close:
             out.close()
@@ -265,7 +262,7 @@ def _sweep(keys, workload, dict_specs, family, params, repeats, dataset_id) -> l
         sensitive = dict_id == "splay"
         records.append(
             BenchRecord(
-                SCHEMA_VERSION, dataset_id, dict_id, "none", 0.0, 1, 0,
+                dataset_id, dict_id, "none", 0.0, 1, 0,
                 plain_mean, 0.0, plain_mean,
                 100.0 * plain.overhead_bytes() / (KEY_BYTES * n), 1.0, sensitive,
             )
@@ -277,7 +274,7 @@ def _sweep(keys, workload, dict_specs, family, params, repeats, dataset_id) -> l
             pred = min(measure_ns_per_query(probe, queries, repeats), mean)
             records.append(
                 BenchRecord(
-                    SCHEMA_VERSION, dataset_id, dict_id, family, float(param), d.intervals,
+                    dataset_id, dict_id, family, float(param), d.intervals,
                     d.routing_steps(), mean, pred, mean - pred,
                     d.space_overhead_pct(), ratio, sensitive,
                 )
@@ -326,14 +323,14 @@ def delta_report(named_sets: Iterable[tuple[str, SortedKeySet]]) -> list[DeltaRo
         ln_n = math.log(n) if n else 0.0
         if n < 2:
             rows.append(
-                DeltaRow(SCHEMA_VERSION, name, "skipped_small_n", n, 0, 0, 0.0,
+                DeltaRow(name, "skipped_small_n", n, 0, 0, 0.0,
                          ln_n, ln_n**2, ln_n**3, ln_n**4)
             )
             continue
         gs = gap_stats(keys)
         rows.append(
             DeltaRow(
-                SCHEMA_VERSION, name, "ok", n, gs.g_min, gs.g_max, gs.delta,
+                name, "ok", n, gs.g_min, gs.g_max, gs.delta,
                 ln_n, ln_n**2, ln_n**3, ln_n**4,
             )
         )
@@ -390,13 +387,13 @@ def run_space_selection(
             feasible = [m for m in measured if m[0] == family and m[4] <= bound]
             if not feasible:
                 rows.append(
-                    SpaceRow(SCHEMA_VERSION, dataset_id, bound, family, "infeasible",
+                    SpaceRow(dataset_id, bound, family, "infeasible",
                              "", 0.0, 0, 0.0, 0.0)
                 )
                 continue
             fam, dict_id, param, intervals, overhead, mean = min(feasible, key=lambda m: m[5])
             rows.append(
-                SpaceRow(SCHEMA_VERSION, dataset_id, bound, fam, "ok",
+                SpaceRow(dataset_id, bound, fam, "ok",
                          dict_id, param, intervals, overhead, mean)
             )
     return rows
@@ -413,7 +410,7 @@ def run_forest_sweep(
     h = sweep.entropy_bits
     rows = [
         ForestRow(
-            SCHEMA_VERSION, dataset_id, mode, k, cost, h, h + 2.0 - cost,
+            dataset_id, mode, k, cost, h, h + 2.0 - cost,
             k == sweep.best.k,
         )
         for k, cost in sweep.per_k

@@ -70,6 +70,13 @@ def _csv_ints(text: str) -> list[int]:
     return _numbers(text, ",", int)
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _out_stream(path: str | None):
     if path is None:
         return sys.stdout, False
@@ -302,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--dicts", default="bbs", help="comma list, e.g. bbs,bfs,bft:8")
         sp.add_argument("--queries", type=int, default=queries_default)
         sp.add_argument("--hit-fraction", type=float, default=0.5)
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_seed, default=0)
         sp.add_argument("--repeats", type=int, default=bench.DEFAULT_REPEATS)
         sp.add_argument("--out", default=None, help="CSV path (stdout if omitted)")
 
@@ -312,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--universe", type=int, default=2**44)
     sp.add_argument("--outlier-fraction", type=float, default=0.001)
     sp.add_argument("--spread", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_gen)
 
@@ -320,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--m", type=int, default=100_000)
     sp.add_argument("--hit-fraction", type=float, default=0.5)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_queries)
 
@@ -328,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--target-n", type=int, required=True)
     sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True, help="binary key file for the sample")
     sp.set_defaults(func=cmd_sample)
 
@@ -346,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--datasets", default=None, help="comma list of key files")
     sp.add_argument("--sizes", default=None, help="comma list of generated sizes (|U| = 4n)")
     sp.add_argument("--seeds-per-size", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_delta)
 
@@ -374,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mix", default="1:1:2", help="insert:delete:search weights")
     sp.add_argument("--adversarial", action="store_true", help="gap-shrinker stream")
     sp.add_argument("--k", type=int, default=64)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--checkpoint-every", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_dyn_stream)

@@ -253,7 +253,7 @@ class AccessDistribution:
         if (self.p < 0).any() or (self.q < 0).any():
             raise DistributionError("negative access weight")
         total = float(self.p.sum() + self.q.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # a NaN weight fails here too
             raise DistributionError(f"weights sum to {total!r}, expected 1.0")
 
     @property

@@ -82,19 +82,8 @@ def optimal_bst(p, q) -> BstPlan:
     if n > EXACT_MODE_MAX_N:
         raise DictboostError(f"exact mode capped at n={EXACT_MODE_MAX_N}, got {n}")
     pref = _prefix(p, q)
-
-    def zeros_d() -> array:
-        a = array("d")
-        a.frombytes(bytes(8 * (n + 1)))
-        return a
-
-    def zeros_l() -> array:
-        a = array("l")
-        a.frombytes(bytes(8 * (n + 1)))
-        return a
-
-    cost = [zeros_d() for _ in range(n + 2)]
-    root = [zeros_l() for _ in range(n + 2)]
+    cost = [array("d", [0.0]) * (n + 1) for _ in range(n + 2)]
+    root = [array("l", [0]) * (n + 1) for _ in range(n + 2)]
     for length in range(1, n + 1):
         for i in range(1, n - length + 2):
             j = i + length - 1
@@ -210,47 +199,39 @@ class BinAccessWeights:
 
 
 def bin_weights(keys: SortedKeySet, k: int, dist: AccessDistribution) -> BinAccessWeights:
+    """Split the access mass over ``k`` bins.  Gap ``i`` (between keys
+    ``i-1`` and ``i``) puts its miss mass in slot ``i + b`` of one flat
+    array of ``n + k`` slots, for each 0-based bin ``b`` its open interval
+    meets.  So bin ``b``'s miss weights are the window
+    ``slots[starts[b] + b : starts[b+1] + b + 1]`` and its hit weights
+    ``p[starts[b]:starts[b+1]]``; both parts are read-only views."""
     if dist.n != len(keys):
         raise DictboostError(f"distribution over {dist.n} keys, set has {len(keys)}")
     n = len(keys)
     starts = bin_starts(keys, k)
-    p = dist.p
-    q = dist.q
+    key_bin = np.repeat(np.arange(k), np.diff(starts))
+    # bins of the keys left and right of each gap; q[0] and q[n] stick to the edge bins
+    left = np.concatenate(([0], key_bin))
+    right = np.append(key_bin, k - 1)
+    same = np.flatnonzero(left == right)
+    slots = np.zeros(n + k)
+    slots[same + left[same]] += dist.q[same]  # adding to 0.0 stores a -0.0 weight as 0.0
     uppers = BinGeometry(keys.lo, keys.hi, k).uppers().tolist()
-    loads = np.diff(starts)
-
-    p_parts = [p[int(starts[b]):int(starts[b + 1])].copy() for b in range(k)]
-    q_parts = [np.zeros(int(loads[b]) + 1) for b in range(k)]
-
-    # bin of each key rank: first b with starts[b] > rank
-    key_bin = np.searchsorted(starts, np.arange(n), side="right")  # 1-based
-
-    q_parts[0][0] += q[0]
-    q_parts[k - 1][-1] += q[n]
     ks = keys.as_list()
-    for i in range(1, n):
-        mass = float(q[i])
-        if mass == 0.0:
-            continue
-        bl = int(key_bin[i - 1])
-        br = int(key_bin[i])
-        if bl == br:
-            q_parts[bl - 1][i - int(starts[bl - 1])] += mass
-            continue
+    # a gap across bins shares its mass by overlap, in exact int arithmetic;
+    # the overlap is 0 with the left key's bin when that key is its upper edge
+    for i in np.flatnonzero((left != right) & (dist.q > 0)).tolist():
         a, c = ks[i - 1], ks[i]
-        length = c - a
-        for b in range(bl, br + 1):
-            ov = min(c, uppers[b]) - max(a, uppers[b - 1])
-            if ov <= 0:
-                continue
-            share = mass * (ov / length)
-            if b == bl:
-                q_parts[b - 1][-1] += share
-            elif b == br:
-                q_parts[b - 1][0] += share
-            else:
-                q_parts[b - 1][0] += share  # empty bin: single slot
-    weights = [float(p_parts[b].sum() + q_parts[b].sum()) for b in range(k)]
+        mass = float(dist.q[i])
+        for b in range(int(left[i]), int(right[i]) + 1):
+            ov = min(c, uppers[b + 1]) - max(a, uppers[b])
+            slots[i + b] = mass * (ov / (c - a))
+    p = dist.p.view()
+    p.flags.writeable = slots.flags.writeable = False
+    s = starts.tolist()
+    p_parts = [p[s[b]:s[b + 1]] for b in range(k)]
+    q_parts = [slots[s[b] + b:s[b + 1] + b + 1] for b in range(k)]
+    weights = [float(pp.sum() + qp.sum()) for pp, qp in zip(p_parts, q_parts)]
     return BinAccessWeights(k=k, p_parts=p_parts, q_parts=q_parts, weights=weights)
 
 
@@ -305,12 +286,13 @@ def optimize_over_k(
     n = len(keys)
     if n == 0:
         raise DictboostError("cannot optimize over an empty key set")
-    best: ForestPlan | None = None
+    if k_max < 1:
+        raise DictboostError(f"k_max must be >= 1, got {k_max}")
+    best = None
     per_k = []
     for k in range(1, min(int(k_max), n) + 1):
         plan = build_forest(keys, dist, k, mode)
         per_k.append((k, plan.total_cost))
         if best is None or plan.total_cost < best.total_cost:
             best = plan
-    assert best is not None
     return ForestSweep(best=best, per_k=per_k, entropy_bits=entropy(dist))

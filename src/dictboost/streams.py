@@ -20,7 +20,6 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .bench import SCHEMA_VERSION
 from .core import DictboostError, SortedKeySet
 from .dynamic import AmortizedReport, DynamicBinDict
 
@@ -120,7 +119,6 @@ def gen_adversarial_stream(
 
 @dataclass
 class StreamCheckpoint:
-    schema: int
     dataset_id: str
     ops_done: int
     n: int
@@ -148,11 +146,15 @@ def replay_stream(
     dataset_id: str = "stream",
 ) -> ReplayResult:
     """Apply the stream to a DynamicBinDict and a sorted-list oracle in
-    lockstep, checking every single outcome."""
+    lockstep, checking every single outcome.  A checkpoint is taken every
+    ``checkpoint_every`` ops (default: a tenth of the stream) and after
+    the last."""
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise DictboostError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     dyn = DynamicBinDict(initial, k)
     mirror = _initial_contents(initial)
     total = len(stream.ops)
-    every = checkpoint_every if checkpoint_every else max(1, total // 10)
+    every = checkpoint_every or max(1, total // 10)
     checkpoints: list[StreamCheckpoint] = []
 
     def check(idx: int, what: str, got, want) -> None:
@@ -185,7 +187,6 @@ def replay_stream(
             rep = dyn.amortized_report()
             checkpoints.append(
                 StreamCheckpoint(
-                    schema=SCHEMA_VERSION,
                     dataset_id=dataset_id,
                     ops_done=done,
                     n=len(dyn),

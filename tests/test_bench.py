@@ -10,6 +10,7 @@ subset relations exact).
 import csv
 import io
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from dictboost.bench import (
     BenchRecord,
     DEFAULT_PCTS,
     PAIR_BLOCK,
-    SCHEMA_VERSION,
     csv_header,
     default_epsilons,
     default_space_eps_grid,
@@ -87,7 +87,6 @@ class TestBoostSweep:
         by_dict = {}
         for r in rows:
             by_dict.setdefault(r.dictionary_id, []).append(r)
-            assert r.schema == SCHEMA_VERSION
             assert r.dataset_id == "dset"
             assert r.mean_query_ns > 0
             # decomposition identity: prediction + final == mean, exactly
@@ -272,7 +271,7 @@ class TestCsvOutput:
         the ratio must repeat exactly across runs."""
         keys, wl = small_bench
         noisy = {"mean_query_ns", "prediction_ns", "final_search_ns", "ratio_vs_plain"}
-        stable = [f for f in csv_header(BenchRecord) if f not in noisy]
+        stable = [f.name for f in fields(BenchRecord) if f.name not in noisy]
         a = run_boost_sweep(keys, wl, "bbs", pcts=[10.0], repeats=1)
         b = run_boost_sweep(keys, wl, "bbs", pcts=[10.0], repeats=1)
         for ra, rb in zip(a, b):

@@ -281,6 +281,45 @@ class TestDynStream:
         assert "usage error" in capsys.readouterr().err
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "0", "--out", "OUT"],
+        ["gen", "--n", "10", "--universe", "5", "--out", "OUT"],
+        ["gen", "--n", "10", "--seed", "-1", "--out", "OUT"],
+        ["gen", "--kind", "clustered", "--n", "100", "--spread", "0", "--out", "OUT"],
+        ["gen", "--kind", "clustered", "--n", "100", "--outlier-fraction", "2", "--out", "OUT"],
+        ["queries", "--dataset", "KEYS", "--m", "-1"],
+        ["queries", "--dataset", "KEYS", "--hit-fraction", "2"],
+        ["queries", "--dataset", "KEYS", "--seed", "-1"],
+        ["sample", "--dataset", "KEYS", "--target-n", "0", "--out", "OUT"],
+        ["sample", "--dataset", "KEYS", "--target-n", "50", "--trials", "0", "--out", "OUT"],
+        ["bench-boost", "--dataset", "KEYS", "--repeats", "0"],
+        ["bench-boost", "--dataset", "KEYS", "--queries", "-5"],
+        ["bench-boost", "--dataset", "KEYS", "--seed", "-2"],
+        ["bench-epsilon", "--dataset", "KEYS", "--epsilons", "-4", "--queries", "100"],
+        ["delta", "--sizes", "0"],
+        ["space", "--dataset", "KEYS", "--bounds", "0", "--queries", "100"],
+        ["space", "--dataset", "KEYS", "--eps-grid", "-2", "--queries", "100"],
+        ["forest", "--dataset", "KEYS", "--k-max", "0"],
+        ["forest", "--dataset", "KEYS", "--k-max", "-3"],
+        ["forest", "--dataset", "KEYS", "--hit-mass", "2"],
+        ["forest", "--dataset", "KEYS", "--dist", "zipf", "--zipf-s", "nan"],
+        ["dyn-stream", "--initial", "KEYS", "--ops", "-1"],
+        ["dyn-stream", "--initial", "KEYS", "--ops", "10", "--k", "0"],
+        ["dyn-stream", "--initial", "KEYS", "--ops", "10", "--checkpoint-every", "0"],
+        ["dyn-stream", "--initial", "KEYS", "--ops", "10", "--checkpoint-every", "-3"],
+        ["dyn-stream", "--initial", "KEYS", "--ops", "10", "--seed", "-1"],
+    ])
+    def test_bad_numbers_are_one_error_line(self, keyfile, tmp_path, capsys, argv):
+        out = str(tmp_path / "out.bin")
+        argv = [str(keyfile) if a == "KEYS" else out if a == "OUT" else a for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(("error:", "usage error:"))
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestNumberLists:
     @pytest.mark.parametrize("argv", [
         ["bench-boost", "--dataset", "KEYS", "--pcts", "abc"],

@@ -245,6 +245,15 @@ class TestAccessDistribution:
         with pytest.raises(DistributionError):
             AccessDistribution([0.5], [0.25, 0.05])
 
+    @pytest.mark.parametrize("p, q", [
+        ([float("nan")], [0.5, 0.5]),
+        ([0.5], [float("nan"), 0.5]),
+        ([float("inf")], [0.0, 0.0]),
+    ])
+    def test_non_finite_weights_are_rejected(self, p, q):
+        with pytest.raises(DistributionError, match="weights sum to"):
+            AccessDistribution(p, q)
+
     def test_entropy_of_uniform_atoms(self):
         # 8 equal atoms -> exactly 3 bits, zero atoms contribute nothing
         p = [1 / 8] * 4

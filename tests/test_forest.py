@@ -10,8 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from dictboost.core import AccessDistribution, DictboostError, SortedKeySet, entropy
+from dictboost import forest
+from dictboost.binning import BinGeometry, bin_starts
+from dictboost.cli import _forest_distribution
+from dictboost.core import MAX_KEY, AccessDistribution, DictboostError, SortedKeySet, entropy
 from dictboost.forest import (
+    BinAccessWeights,
     BstPlan,
     approx_bst,
     bin_weights,
@@ -21,6 +25,8 @@ from dictboost.forest import (
     optimize_over_k,
     plan_cost_from_depths,
 )
+
+from dictboost.workloads import gen_clustered, gen_uniform
 
 from conftest import TEN_KEYS
 
@@ -153,7 +159,131 @@ class TestEntropyBound:
         assert plan.key_depths[11] == 0
 
 
+def reference_bin_weights(keys, k, dist):
+    """The per-gap loop that split the miss mass before ``bin_weights`` used
+    one flat slot array, kept verbatim as its oracle: each gap's mass goes
+    to the bins its open interval overlaps, in proportion to the overlap,
+    and ``q[0]`` (``q[n]``) sticks to the first (last) bin."""
+    n = len(keys)
+    starts = bin_starts(keys, k)
+    p = dist.p
+    q = dist.q
+    uppers = BinGeometry(keys.lo, keys.hi, k).uppers().tolist()
+    loads = np.diff(starts)
+
+    p_parts = [p[int(starts[b]):int(starts[b + 1])].copy() for b in range(k)]
+    q_parts = [np.zeros(int(loads[b]) + 1) for b in range(k)]
+
+    # bin of each key rank: first b with starts[b] > rank
+    key_bin = np.searchsorted(starts, np.arange(n), side="right")  # 1-based
+
+    q_parts[0][0] += q[0]
+    q_parts[k - 1][-1] += q[n]
+    ks = keys.as_list()
+    for i in range(1, n):
+        mass = float(q[i])
+        if mass == 0.0:
+            continue
+        bl = int(key_bin[i - 1])
+        br = int(key_bin[i])
+        if bl == br:
+            q_parts[bl - 1][i - int(starts[bl - 1])] += mass
+            continue
+        a, c = ks[i - 1], ks[i]
+        length = c - a
+        for b in range(bl, br + 1):
+            ov = min(c, uppers[b]) - max(a, uppers[b - 1])
+            if ov <= 0:
+                continue
+            share = mass * (ov / length)
+            if b == bl:
+                q_parts[b - 1][-1] += share
+            elif b == br:
+                q_parts[b - 1][0] += share
+            else:
+                q_parts[b - 1][0] += share  # empty bin: single slot
+    weights = [float(p_parts[b].sum() + q_parts[b].sum()) for b in range(k)]
+    return BinAccessWeights(k=k, p_parts=p_parts, q_parts=q_parts, weights=weights)
+
+
+# keys 49*j for j = 0..2000: at k = 2, 16, 40 and 64 some bin upper edges
+# are keys, so a gap starting there overlaps its left key's bin by zero
+EDGE_KEYS = [49 * j for j in range(2001)]
+
+
+def _case_keys(name):
+    rng = np.random.default_rng(11)
+    if name == "two":
+        return SortedKeySet([10, 20])
+    if name == "one":
+        return SortedKeySet([5])
+    if name == "u64-ends":
+        return SortedKeySet([0, MAX_KEY])
+    if name == "random-u64":
+        return SortedKeySet(np.unique(rng.integers(0, MAX_KEY, 300, dtype=np.uint64,
+                                                   endpoint=True)))
+    if name == "uniform":
+        return gen_uniform(2000, 2**44, seed=12)
+    if name == "clustered":
+        return gen_clustered(2000, 0.001, seed=13)
+    return SortedKeySet(EDGE_KEYS)
+
+
+def _case_distribution(n, zero_gaps):
+    rng = np.random.default_rng(n)
+    w = rng.random(2 * n + 1)
+    p, q = w[:n], w[n:]
+    if zero_gaps:
+        q[::3] = 0.0
+        q[1::7] = -0.0  # allowed (not < 0); the loop stored +0.0 for it
+    total = p.sum() + q.sum()
+    return AccessDistribution(p / total, q / total)
+
+
+def assert_same_parts(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.float64
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()  # bit for bit, signed zeros included
+
+
 class TestBinWeights:
+    @pytest.mark.parametrize("zero_gaps", [False, True])
+    @pytest.mark.parametrize("name", ["two", "one", "u64-ends", "random-u64", "uniform",
+                                      "clustered", "edges-49j"])
+    def test_equals_the_per_gap_loop(self, name, zero_gaps):
+        keys = _case_keys(name)
+        n = len(keys)
+        dist = _case_distribution(n, zero_gaps)
+        extra = [4, 8, 16, 40] if name == "edges-49j" else []
+        ks = sorted({k for k in [1, 2, 3, 7, 64, n, *extra] if k <= n})
+        for k in ks:
+            got = bin_weights(keys, k, dist)
+            want = reference_bin_weights(keys, k, dist)
+            assert got.k == k
+            assert_same_parts(got.p_parts, want.p_parts)
+            assert_same_parts(got.q_parts, want.q_parts)
+            assert got.weights == want.weights
+            assert all(type(w) is float for w in got.weights)
+
+    @pytest.mark.parametrize("k", [2, 16, 40, 64])
+    def test_edge_keys_sit_on_bin_upper_edges(self, k):
+        inner_uppers = BinGeometry(0, EDGE_KEYS[-1], k).uppers()[1:-1]
+        assert np.isin(inner_uppers, EDGE_KEYS).any()
+
+    def test_parts_are_read_only_views(self):
+        keys = SortedKeySet(TEN_KEYS)
+        dist = AccessDistribution([0.05] * 10, [0.5 / 11] * 11)
+        bw = bin_weights(keys, 4, dist)
+        assert [part.size for part in bw.p_parts] == [3, 5, 0, 2]
+        for part in bw.p_parts + bw.q_parts:
+            with pytest.raises(ValueError):
+                part[...] = 1.0
+        assert dist.p.flags.writeable
+        assert all(np.shares_memory(part, dist.p) for part in bw.p_parts if part.size)
+
+
     def test_weights_sum_to_one_and_split_by_overlap(self):
         keys = SortedKeySet([10, 20])
         # all miss mass in the straddling gap (10, 20); boundary at 15
@@ -234,6 +364,24 @@ class TestForest:
         weights = [0.25, 0.75]
         plans = [BstPlan(0.5, (0,), (1, 1), 0), BstPlan(1.25, (0,), (1, 1), 0)]
         assert forest_cost(weights, plans) == pytest.approx(0.25 + 0.5 + 0.75 + 1.25)
+
+    @pytest.mark.parametrize("mode, n", [("approx", 2000), ("exact", 400)])
+    def test_sweep_equals_the_per_gap_loop(self, monkeypatch, mode, n):
+        keys = gen_uniform(n, 2**44, seed=31)
+        dist = _forest_distribution(n, "zipf", 1.1, 0.5)
+        got = optimize_over_k(keys, dist, 64, mode)
+        monkeypatch.setattr(forest, "bin_weights", reference_bin_weights)
+        want = optimize_over_k(keys, dist, 64, mode)
+        assert len(got.per_k) == 64
+        assert got.per_k == want.per_k
+        assert got.best.k == want.best.k
+
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_k_max_below_one_is_rejected(self, k_max):
+        keys = SortedKeySet(TEN_KEYS)
+        dist = AccessDistribution([0.1] * 10, [0.0] * 11)
+        with pytest.raises(DictboostError, match=f"k_max must be >= 1, got {k_max}"):
+            optimize_over_k(keys, dist, k_max)
 
     def test_mode_validation(self):
         keys = SortedKeySet(TEN_KEYS)

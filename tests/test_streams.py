@@ -201,6 +201,13 @@ class TestReplay:
         default = replay_stream(initial, 4, stream)
         assert [cp.ops_done for cp in default.checkpoints] == list(range(2, 21, 2))
 
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_checkpoint_every_below_one_is_rejected(self, every):
+        initial = SortedKeySet([0, 1000])
+        stream = gen_uniform_stream(initial, 20, mix=(1, 0, 1), seed=4)
+        with pytest.raises(DictboostError, match=f"checkpoint_every must be >= 1, got {every}"):
+            replay_stream(initial, 4, stream, checkpoint_every=every)
+
     def test_pure_searches_cost_nothing(self):
         initial = SortedKeySet(TEN_KEYS)
         stream = manual_stream((OP_SEARCH, x) for x in range(0, 1000, 17))
