@@ -3,12 +3,16 @@
 The library splits a sorted u64 key set into intervals (equal-width bins
 or epsilon-bounded linear segments) and routes each rank query to its
 interval in O(1) or O(log segments).  Both models are one
-``IntervalModel``: an interval is a window of the one sorted key list,
-which the in-place dictionaries (``bbs``, ``bfs``, ``is``) search
-directly, while the others keep one small dictionary per interval.  A
-dynamic variant keeps the scheme valid under inserts and deletes with an
-amortized rebuild policy, and a per-bin optimal-BST forest gives
-entropy-bounded expected search cost for known access distributions.  The ``dictboost`` CLI benchmarks all of it.
+``IntervalModel``: an interval is a window of the one sorted key list, and
+one instance of any of the seven dictionary kinds, built over all the
+windows, answers on it.  The in-place kinds (``bbs``, ``bfs``, ``is``)
+hold just the shared list; the array layouts (``bfe``, ``bft``) one flat
+layout and rank list, ``css`` separator levels per window longer than its
+fanout, and ``splay`` one tree per window.  A dynamic variant keeps the
+scheme valid under inserts and deletes with an amortized rebuild policy,
+and a per-bin optimal-BST forest gives entropy-bounded expected search
+cost for known access distributions.  The ``dictboost`` CLI benchmarks all
+of it.
 """
 
 from .binning import BinnedDictionary, bin_index, bin_occupancy, bin_starts, build_binning, pct_to_k

@@ -268,7 +268,7 @@ def _sweep(keys, workload, dict_specs, family, params, repeats, dataset_id) -> l
             )
         )
         for param in params:
-            d = _MODELS[family](keys, param, (dict_id, builder))
+            d = _MODELS[family](keys, param, dict_id)
             mean, ratio = measure_paired_ns(d.rank_search, plain.rank_search, queries, repeats)
             probe = _routing_probe(d.route, lo, hi)
             pred = min(measure_ns_per_query(probe, queries, repeats), mean)
@@ -371,10 +371,10 @@ def run_space_selection(
     grids = {"binning": [k for k in ks if 1 <= k <= n], "segments": eps_list}
     # (family, dict_id, param, intervals, overhead_pct, mean_ns)
     measured: list[tuple[str, str, float, int, float, float]] = []
-    for dict_id, builder in _specs(dict_specs):
+    for dict_id, _ in _specs(dict_specs):
         for family, params in grids.items():
             for param in params:
-                d = _MODELS[family](keys, param, (dict_id, builder))
+                d = _MODELS[family](keys, param, dict_id)
                 mean = measure_ns_per_query(d.rank_search, queries, repeats)
                 measured.append(
                     (family, dict_id, float(param), d.intervals, d.space_overhead_pct(), mean)

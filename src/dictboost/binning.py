@@ -3,11 +3,14 @@
 The key range ``[A[0], A[n-1]]`` is cut into ``k`` equal-width bins.  A
 query computes its bin in O(1) integer arithmetic, and a cumulative-rank
 table turns the bin into a window ``[starts[b-1], starts[b])`` of the
-sorted key list.  The dictionary kind answers on that window with the
-global rank: the in-place kinds (``bbs``, ``bfs``, ``is``) search the one
-shared key list, the others a small dictionary of the bin's own.  An empty
-window answers with its start rank.  Out-of-range queries never touch a
-bin: they short-circuit to rank 0 or rank n.
+sorted key list.  One instance of the dictionary kind, built over all the
+bins' windows of the one shared key list, answers on that window with the
+global rank: the in-place kinds (``bbs``, ``bfs``, ``is``) search the list
+itself, ``bfe`` and ``bft`` the bin's window of one flat layout, ``css``
+the bin's separator levels (if it holds more keys than the fanout) over
+the list, ``splay`` the bin's own tree.  An empty window answers with its
+start rank.  Out-of-range queries never touch a bin: they short-circuit to
+rank 0 or rank n.
 
 Bin ``b`` (1-based) covers keys ``x`` with
 ``upper(b-1) < x <= upper(b)`` where ``upper(b) = lo + floor(b*span/k)``,
@@ -24,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DictboostError, SortedKeySet
-from .dictionaries import DictKind, IntervalModel
+from .dictionaries import IntervalModel
 
 PER_BIN_HEADER_BYTES = 24  # dictionary pointer + start/end rank fields
 
@@ -115,7 +118,7 @@ class BinnedDictionary(IntervalModel, BinGeometry):
     HEADER_BYTES = PER_BIN_HEADER_BYTES
     interval = route = BinGeometry.bin_of
 
-    def __init__(self, keys: SortedKeySet, k: int, dict_kind: DictKind = "bbs"):
+    def __init__(self, keys: SortedKeySet, k: int, dict_kind: str = "bbs"):
         starts = bin_starts(keys, k).tolist()
         BinGeometry.__init__(self, keys.lo, keys.hi, k)
         IntervalModel.__init__(self, keys, starts, dict_kind)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -51,30 +52,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _numbers(text: str, sep: str, kind: type) -> list:
-    """The ``sep``-separated numbers in ``text``; a non-number is a usage
-    error, not a traceback."""
+def _numbers(text: str, sep: str, kind: type, lo: float = -math.inf, hi: float = math.inf) -> list:
+    """The ``sep``-separated numbers in ``text``, each in ``[lo, hi]``; a
+    non-number or one out of range is a usage error, not a traceback."""
     try:
-        return [kind(v) for v in text.split(sep) if v.strip()]
+        values = [kind(v) for v in text.split(sep) if v.strip()]
     except ValueError:
         raise UsageError(
             f"expected a {sep!r}-separated list of {kind.__name__}s, got {text!r}"
         ) from None
+    for v in values:
+        if not lo <= v <= hi:
+            raise UsageError(f"{v} in {text!r} is outside [{lo}, {hi}]")
+    return values
 
 
-def _csv_floats(text: str) -> list[float]:
-    return _numbers(text, ",", float)
+def _csv_floats(text: str, lo: float = -math.inf, hi: float = math.inf) -> list[float]:
+    return _numbers(text, ",", float, lo, hi)
 
 
-def _csv_ints(text: str) -> list[int]:
-    return _numbers(text, ",", int)
+def _csv_ints(text: str, lo: float = -math.inf) -> list[int]:
+    return _numbers(text, ",", int, lo)
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
+def _at_least(minimum: int, what: str):
+    """An argparse type: an int of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = what  # argparse names a non-int "invalid <what> value"
+    return parse
+
+
+_seed = _at_least(0, "seed")
 
 
 def _out_stream(path: str | None):
@@ -168,7 +182,7 @@ def cmd_bench_boost(args) -> int:
         keys,
         _workload(keys, args),
         args.dicts,
-        pcts=_csv_floats(args.pcts),
+        pcts=_csv_floats(args.pcts, 0, 100),
         repeats=args.repeats,
         dataset_id=_dataset_id(args.dataset),
     )
@@ -214,7 +228,7 @@ def cmd_space(args) -> int:
         _workload(keys, args),
         args.dicts,
         bounds_pct=_csv_floats(args.bounds),
-        k_grid=_csv_ints(args.k_grid) if args.k_grid else None,
+        k_grid=_csv_ints(args.k_grid, 1) if args.k_grid else None,
         eps_grid=_csv_ints(args.eps_grid) if args.eps_grid else None,
         repeats=args.repeats,
         dataset_id=_dataset_id(args.dataset),
@@ -352,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("delta", help="gap-ratio study with polylog reference columns")
     sp.add_argument("--datasets", default=None, help="comma list of key files")
     sp.add_argument("--sizes", default=None, help="comma list of generated sizes (|U| = 4n)")
-    sp.add_argument("--seeds-per-size", type=int, default=1)
+    sp.add_argument("--seeds-per-size", type=_at_least(1, "seeds per size"), default=1)
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_delta)

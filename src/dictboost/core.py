@@ -20,7 +20,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice, repeat
 from numbers import Integral
+from operator import index, lt
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -93,6 +95,23 @@ def _u64_array(keys: Iterable[int] | np.ndarray) -> np.ndarray:
         return np.asarray(values, dtype=np.uint64)
     except OverflowError:
         raise InvalidKeySetError(f"keys must lie in [0, {MAX_KEY}]") from None
+
+
+def _checked_keys(keys: Iterable[int]) -> list[int]:
+    """``keys`` as a new list of ints, or :class:`InvalidKeySetError` for a
+    value that is not an integer in ``[0, MAX_KEY]``, an unsorted value or a
+    duplicate; each check is one pass in C over the list."""
+    ks = list(keys)
+    if not all(map(isinstance, ks, repeat(int))):
+        try:
+            ks = list(map(index, ks))
+        except TypeError:
+            raise InvalidKeySetError("keys must be integers") from None
+    if not all(map(lt, ks, islice(ks, 1, None))):
+        raise InvalidKeySetError("keys must be strictly increasing")
+    if ks and (ks[0] < 0 or ks[-1] > MAX_KEY):
+        raise InvalidKeySetError(f"keys must lie in [0, {MAX_KEY}]")
+    return ks
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -299,24 +318,39 @@ def oracle_rank_search(keys: Sequence[int], x: int) -> SearchOutcome:
 
 
 class SortedSetDictionary(ABC):
-    """A static sorted-set dictionary answering normalized rank searches.
+    """A sorted-set dictionary kind, built once over the windows of one
+    sorted key list.
 
-    Implementations are built once over a sorted slice of distinct keys and
-    are safe for concurrent readers unless documented otherwise (the splay
-    tree mutates on reads and needs exclusive access).
+    ``Kind(keys, starts[, param])`` takes sorted distinct u64 ``keys`` as a
+    list, which it reads but never changes, and the ascending ranks
+    ``starts`` (first 0, last ``n``): window ``j`` is ``[starts[j-1],
+    starts[j])``.  No kind copies keys per window.  ``search(x, lo, hi)`` answers on one such window with the
+    global rank.  ``build(keys)`` is the plain dictionary, the kind over the
+    single window ``[0, n)``, and ``rank_search(x)`` is its search over it.
+    Instances are safe for concurrent readers unless documented otherwise
+    (the splay tree mutates on reads and needs exclusive access).
     """
 
     #: registry id, e.g. "bbs"; parameterized kinds override per instance.
     kind_id: str = "?"
 
     @classmethod
-    @abstractmethod
-    def build(cls, keys: Sequence[int]) -> "SortedSetDictionary":
-        """Construct over sorted distinct keys (at least one)."""
+    def build(cls, keys: Iterable[int], *args, **kwargs) -> "SortedSetDictionary":
+        """The kind over sorted distinct u64 keys (at least one), in a list
+        of its own; the other arguments are the constructor's parameters."""
+        ks = _checked_keys(keys)
+        if not ks:
+            raise InvalidKeySetError("cannot build a dictionary over zero keys")
+        return cls(ks, [0, len(ks)], *args, **kwargs)
 
     @abstractmethod
+    def search(self, x: int, lo: int, hi: int) -> SearchOutcome:
+        """Rank of ``x`` within the window ``keys[lo:hi]``, one of the
+        windows the kind was built over: in ``[lo, hi]``, and ``(lo, False)``
+        for an empty window."""
+
     def rank_search(self, x: int) -> SearchOutcome:
-        ...
+        return self.search(x, 0, len(self))
 
     @abstractmethod
     def __len__(self) -> int:
@@ -329,19 +363,3 @@ class SortedSetDictionary(ABC):
     def overhead_bytes(self) -> int:
         """Bytes beyond one flat 8-byte-per-key array of the same keys."""
         return max(0, self.space_bytes() - KEY_BYTES * len(self))
-
-
-class DynamicSortedSetDictionary(SortedSetDictionary):
-    """Adds in-place updates to the static contract.
-
-    ``insert``/``delete`` return whether the structure changed; repeated
-    inserts of a present key and deletes of an absent key are no-ops.
-    """
-
-    @abstractmethod
-    def insert(self, x: int) -> bool:
-        ...
-
-    @abstractmethod
-    def delete(self, x: int) -> bool:
-        ...

@@ -10,49 +10,55 @@ per node.
 Every separator equals the maximum of its subtree, so descending into the
 leftmost child whose separator is ``>= x`` lands exactly on the leaf group
 containing the successor of ``x``.
+
+The leaf scan reads the one shared key list.  Only a window longer than
+the fanout has separator levels; they are kept in one dict keyed by the
+window's start rank, and a shorter window is one leaf group.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..core import KEY_BYTES, SearchOutcome, SortedSetDictionary
-from .sorted_array import _checked_keys
+from ..core import KEY_BYTES, DictboostError, SearchOutcome, SortedSetDictionary
+
+
+def _maxima(below: list[int], f: int, lo: int, hi: int) -> list[int]:
+    """The maximum of each group of ``f`` consecutive entries of
+    ``below[lo:hi]``."""
+    top = below[lo + f - 1:hi:f]
+    if (hi - lo) % f:
+        top.append(below[hi - 1])
+    return top
 
 
 class CssTreeSearch(SortedSetDictionary):
     kind_id = "css"
     DEFAULT_FANOUT = 16
 
-    def __init__(self, keys: list[int], levels: list[list[int]], fanout: int):
-        self._keys = keys
-        self._levels = levels  # levels[0] = leaf-group maxima, upward
-        self._fanout = fanout
-        self.kind_id = f"css:{fanout}"
-
-    @classmethod
-    def build(cls, keys: Sequence[int], fanout: int | None = None) -> "CssTreeSearch":
-        ks = _checked_keys(keys)
-        f = int(fanout) if fanout else cls.DEFAULT_FANOUT
+    def __init__(self, keys: list[int], starts: Sequence[int], fanout: int | None = None):
+        f = self.DEFAULT_FANOUT if fanout is None else int(fanout)
         if f < 2:
-            raise ValueError("fanout must be >= 2")
-        levels: list[list[int]] = []
-        below = ks
-        while len(below) > f:
-            maxima = [below[min(i + f, len(below)) - 1] for i in range(0, len(below), f)]
-            levels.append(maxima)
-            below = maxima
-        return cls(ks, levels, f)
+            raise DictboostError(f"fanout must be >= 2, got {f}")
+        self._keys = keys
+        self._fanout = f
+        self.kind_id = f"css:{f}"
+        # window start -> its levels, levels[0] = leaf-group maxima, upward
+        self._levels: dict[int, list[list[int]]] = {}
+        for lo, hi in zip(starts, starts[1:]):
+            if hi - lo > f:
+                levels = [_maxima(keys, f, lo, hi)]
+                while len(levels[-1]) > f:
+                    levels.append(_maxima(levels[-1], f, 0, len(levels[-1])))
+                self._levels[lo] = levels
 
     def __len__(self) -> int:
         return len(self._keys)
 
-    def rank_search(self, x: int) -> SearchOutcome:
-        keys = self._keys
+    def search(self, x: int, lo: int, hi: int) -> SearchOutcome:
         f = self._fanout
-        n = len(keys)
         group = 0  # index of the current node within its level
-        for level in reversed(self._levels):
+        for level in reversed(self._levels.get(lo, ())):
             start = group * f
             end = min(start + f, len(level))
             child = -1
@@ -62,16 +68,16 @@ class CssTreeSearch(SortedSetDictionary):
                     break
             if child < 0:
                 # x exceeds the subtree maximum; only possible at the root
-                return SearchOutcome(n, False)
+                return SearchOutcome(hi, False)
             group = child
-        start = group * f
-        end = min(start + f, n)
-        for r in range(start, end):
+        keys = self._keys
+        start = lo + group * f
+        for r in range(start, min(start + f, hi)):
             v = keys[r]
             if v >= x:
                 return SearchOutcome(r, v == x)
-        return SearchOutcome(n, False)
+        return SearchOutcome(hi, False)
 
     def space_bytes(self) -> int:
-        inner = sum(len(lv) for lv in self._levels)
+        inner = sum(len(lv) for levels in self._levels.values() for lv in levels)
         return KEY_BYTES * (len(self._keys) + inner)

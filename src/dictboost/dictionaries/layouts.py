@@ -7,81 +7,108 @@ array; a parallel rank table maps that position back to the sorted rank
 the normalized protocol requires.  The rank table is honest bookkeeping
 and is reported as space overhead (one extra word per slot).
 
-The blocked layout pads the last block with a sentinel one past the u64
-maximum (cheap in Python, where ints are unbounded) so that every stored
-block is full and the descent needs no partial-block special case.
+Both kinds hold one flat ``layout`` list and one flat ``ranks`` list of
+length n for all their windows: window ``[lo, hi)`` of ``layout`` holds
+``keys[lo:hi]`` laid out as one tree, in an order that depends only on the
+window length (and the block size), and ``ranks`` holds their global
+ranks.  The build computes that order once per distinct window length and
+applies it to every window of that length with one numpy fancy index.
+The descent reads the layout in global indices.  (Khuong & Morin, "Array
+Layouts for Comparison-Based Searching", ACM JEA 2017.)
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from ..core import KEY_BYTES, SearchOutcome, SortedSetDictionary
-from .sorted_array import _checked_keys
+import numpy as np
 
-SENTINEL = 2**64  # compares greater than every legal u64 key
+from ..core import KEY_BYTES, DictboostError, SearchOutcome, SortedSetDictionary
+
+
+def _inorder_ranks(m: int, b: int) -> np.ndarray:
+    """In-order rank of each of the ``m`` slots of an implicit
+    ``(b+1)``-ary tree of ``b``-slot blocks, blocks in BFS order, whose last
+    block may be partial (it is a leaf).  ``b == 1`` is the Eytzinger order.
+
+    Each slot gets a base-``(2b+1)`` path code: one digit per level, ``2c``
+    for a descent into child ``c`` and ``2c+1`` for slot ``c`` itself, which
+    lies between children ``c`` and ``c+1``; padded with zero digits to one
+    length, the codes sort in order."""
+    nblocks = -(-m // b)
+    radix = 2 * b + 1
+    code = np.zeros(nblocks, dtype=np.int64)
+    depth = np.zeros(nblocks, dtype=np.int64)
+    lo, hi, level = 0, 1, 0  # the blocks of one level
+    while hi < nblocks:
+        lo, hi, level = lo * (b + 1) + 1, min(hi * (b + 1) + 1, nblocks), level + 1
+        child = np.arange(lo, hi) - 1
+        code[lo:hi] = code[child // (b + 1)] * radix + 2 * (child % (b + 1))
+        depth[lo:hi] = level
+    slot = np.arange(m)
+    block = slot // b
+    pad = np.power(radix, level - depth[block])
+    order = np.argsort((code[block] * radix + 2 * (slot % b) + 1) * pad)
+    ranks = np.empty(m, dtype=np.int64)
+    ranks[order] = slot
+    return ranks
+
+
+def _window_layouts(keys: list[int], starts: Sequence[int], b: int) -> tuple[list[int], list[int]]:
+    """``(layout, ranks)`` of all the windows of ``starts``, each laid out
+    by :func:`_inorder_ranks` with block size ``b``."""
+    st = np.asarray(starts, dtype=np.int64)
+    lens = np.diff(st)
+    by_len = np.argsort(lens, kind="stable")
+    cuts = np.flatnonzero(np.diff(lens[by_len])) + 1
+    ranks = np.empty(len(keys), dtype=np.int64)
+    for group in np.split(by_len, cuts):
+        m = int(lens[group[0]])
+        if m:
+            los = st[group][:, None]
+            ranks[los + np.arange(m)] = los + _inorder_ranks(m, b)
+    rank_list = ranks.tolist()
+    return list(map(keys.__getitem__, rank_list)), rank_list
 
 
 class EytzingerSearch(SortedSetDictionary):
     """Keys permuted in BFS order of a complete binary tree.
 
-    The descent is branch-free-shaped: at position ``i`` go to ``2i+1`` on
-    ``x <= key`` and ``2i+2`` otherwise, until falling off the tree.  The
-    position of the smallest key ``>= x`` is then recovered from the bits
-    of the final index: strip the trailing ones of ``i+1`` plus one more
-    bit (those record the left turns taken after the last right turn).
+    The descent is branch-free-shaped: from 1-based node ``t`` go to ``2t``
+    on ``x <= key`` and ``2t+1`` otherwise, until falling off the tree.  The
+    node of the smallest key ``>= x`` is then recovered from the bits of
+    the final ``t``: strip its trailing ones plus one more bit (those
+    record the left turns taken after the last right turn).
     """
 
     kind_id = "bfe"
 
-    def __init__(self, layout: list[int], ranks: list[int]):
-        self._layout = layout
-        self._ranks = ranks
-
-    @classmethod
-    def build(cls, keys: Sequence[int]) -> "EytzingerSearch":
-        ks = _checked_keys(keys)
-        n = len(ks)
-        layout = [0] * n
-        ranks = [0] * n
-        next_rank = 0
-
-        def fill(i: int) -> None:
-            nonlocal next_rank
-            if i >= n:
-                return
-            fill(2 * i + 1)
-            layout[i] = ks[next_rank]
-            ranks[i] = next_rank
-            next_rank += 1
-            fill(2 * i + 2)
-
-        fill(0)
-        return cls(layout, ranks)
+    def __init__(self, keys: list[int], starts: Sequence[int]):
+        self._layout, self._ranks = _window_layouts(keys, starts, 1)
 
     def __len__(self) -> int:
         return len(self._layout)
 
-    def rank_search(self, x: int) -> SearchOutcome:
+    def search(self, x: int, lo: int, hi: int) -> SearchOutcome:
         layout = self._layout
-        n = len(layout)
-        i = 0
-        while i < n:
-            i = 2 * i + 1 if x <= layout[i] else 2 * i + 2
-        t = i + 1
+        base = lo - 1  # node t of the window sits at layout[base + t]
+        m = hi - lo
+        t = 1
+        while t <= m:
+            t = 2 * t if x <= layout[base + t] else 2 * t + 1
         # (t ^ (t+1)) is a mask of t's trailing ones plus the next zero bit.
-        j = t >> (t ^ (t + 1)).bit_length()
-        if j == 0:
-            return SearchOutcome(n, False)
-        pos = j - 1
-        return SearchOutcome(self._ranks[pos], layout[pos] == x)
+        t >>= (t ^ (t + 1)).bit_length()
+        if t == 0:
+            return SearchOutcome(hi, False)
+        return SearchOutcome(self._ranks[base + t], layout[base + t] == x)
 
     def space_bytes(self) -> int:
         return 2 * KEY_BYTES * len(self._layout)
 
     def inorder_positions(self) -> Iterator[int]:
-        """Positions visited by an in-order walk (testing hook: reading the
-        layout in this order must reproduce the sorted input)."""
+        """Positions visited by an in-order walk of a plain build (testing
+        hook: reading the layout in this order must reproduce the sorted
+        input)."""
         n = len(self._layout)
         stack: list[tuple[int, bool]] = [(0, False)]
         while stack:
@@ -96,99 +123,70 @@ class EytzingerSearch(SortedSetDictionary):
                 stack.append((2 * i + 1, False))
 
 
-def _block_child(nth: int, offset: int, block: int) -> int:
-    """Array offset of the ``nth`` child (0..block) of the node starting at
-    ``offset`` in a complete (block+1)-ary implicit tree of blocks."""
-    return ((offset // block) * (block + 1) + nth + 1) * block
-
-
 class BlockTreeSearch(SortedSetDictionary):
     """Keys permuted into an implicit (B+1)-ary tree of B-key blocks.
 
-    Each node is B contiguous keys; child links are pure arithmetic on
-    block numbers, so the only storage besides the permuted keys is the
-    rank table.  Within a node a branch-free halving scan counts the keys
-    smaller than x; the candidate successor is refined on the way down.
+    Each node is B contiguous keys, except that a window's last block holds
+    what is left; child links are pure arithmetic on block numbers, so the
+    only storage besides the permuted keys is the rank table.  Within a
+    node a branch-free halving scan counts the keys smaller than x; the
+    candidate successor is refined on the way down.
     """
 
     kind_id = "bft"
     DEFAULT_BLOCK = 8
 
-    def __init__(self, layout: list[int], ranks: list[int], block: int, n: int):
-        self._layout = layout
-        self._ranks = ranks
-        self._block = block
-        self._n = n
-        self.kind_id = f"bft:{block}"
-
-    @classmethod
-    def build(cls, keys: Sequence[int], block: int | None = None) -> "BlockTreeSearch":
-        ks = _checked_keys(keys)
-        b = cls.DEFAULT_BLOCK if block is None else int(block)
+    def __init__(self, keys: list[int], starts: Sequence[int], block: int | None = None):
+        b = self.DEFAULT_BLOCK if block is None else int(block)
         if b < 1:
-            raise ValueError("block size must be >= 1")
-        n = len(ks)
-        nblocks = -(-n // b)
-        size = nblocks * b
-        layout = [SENTINEL] * size
-        ranks = [n] * size
-        next_rank = 0
-
-        def fill(offset: int) -> None:
-            nonlocal next_rank
-            if offset >= size:
-                return
-            for c in range(b):
-                fill(_block_child(c, offset, b))
-                if next_rank < n:
-                    layout[offset + c] = ks[next_rank]
-                    ranks[offset + c] = next_rank
-                    next_rank += 1
-            fill(_block_child(b, offset, b))
-
-        fill(0)
-        return cls(layout, ranks, b, n)
+            raise DictboostError(f"block size must be >= 1, got {b}")
+        self._block = b
+        self._layout, self._ranks = _window_layouts(keys, starts, b)
+        self.kind_id = f"bft:{b}"
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._layout)
 
-    def rank_search(self, x: int) -> SearchOutcome:
+    def search(self, x: int, lo: int, hi: int) -> SearchOutcome:
         layout = self._layout
         b = self._block
-        size = len(layout)
-        i = 0
+        node = 0  # block number within the window
         best = -1  # position of the smallest key >= x seen on the path
-        while i < size:
+        start = lo
+        while start < hi:
+            width = hi - start if hi - start < b else b
             # branch-free halving over the block: nth = #keys < x in it
-            base, m = i, b
+            base, m = start, width
             while m > 1:
                 half = m // 2
                 if layout[base + half] < x:
                     base += half
                 m -= half
-            nth = base - i + (1 if layout[base] < x else 0)
-            if nth < b and layout[i + nth] >= x:
-                best = i + nth
-            i = _block_child(nth, i, b)
+            nth = base - start + (1 if layout[base] < x else 0)
+            if nth < width:
+                best = start + nth
+            node = node * (b + 1) + nth + 1
+            start = lo + node * b
         if best < 0:
-            return SearchOutcome(self._n, False)
+            return SearchOutcome(hi, False)
         return SearchOutcome(self._ranks[best], layout[best] == x)
 
     def space_bytes(self) -> int:
         return 2 * KEY_BYTES * len(self._layout)
 
     def inorder_positions(self) -> Iterator[int]:
-        """In-order positions, sentinel slots included (testing hook: reading
-        the layout in this order must give the sorted keys, then sentinels)."""
+        """In-order positions of a plain build (testing hook: reading the
+        layout in this order must give the sorted keys)."""
         b = self._block
         size = len(self._layout)
 
-        def walk(offset: int) -> Iterator[int]:
-            if offset >= size:
+        def walk(node: int) -> Iterator[int]:
+            start = node * b
+            if start >= size:
                 return
-            for c in range(b):
-                yield from walk(_block_child(c, offset, b))
-                yield offset + c
-            yield from walk(_block_child(b, offset, b))
+            for c in range(min(b, size - start)):
+                yield from walk(node * (b + 1) + c + 1)
+                yield start + c
+            yield from walk(node * (b + 1) + b + 1)
 
         yield from walk(0)

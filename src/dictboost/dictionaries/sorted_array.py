@@ -10,64 +10,39 @@ zero space overhead.  They differ only in how they walk it:
 * ``InterpolationSearch`` - probes at the linearly interpolated position;
   great on near-uniform gaps, degrades to a guarded scan otherwise.
 
-Each walk is a static ``search(keys, x, lo, hi)`` over the window
-``keys[lo:hi]`` of a sorted list.  It answers with the global rank, in
-``[lo, hi]``, and ``(lo, False)`` on an empty window.  ``rank_search`` is
-that search over the whole array, and the learned models run the same
-search over the window they route a query to, on one shared key list.
+Each walk is a ``search(x, lo, hi)`` over the window ``keys[lo:hi]`` of
+one sorted list, any window at all.  It answers with the global rank, in
+``[lo, hi]``, and ``(lo, False)`` on an empty window.  An instance holds a
+reference to that list and nothing else: the plain dictionary holds its
+own list, a learned model the key set's shared one.
 """
 
 from __future__ import annotations
 
-from abc import abstractmethod
 from typing import Sequence
 
-from ..core import KEY_BYTES, InvalidKeySetError, SearchOutcome, SortedSetDictionary
-
-
-def _checked_keys(keys: Sequence[int]) -> list[int]:
-    ks = [int(v) for v in keys]
-    if not ks:
-        raise InvalidKeySetError("cannot build a dictionary over zero keys")
-    return ks
+from ..core import KEY_BYTES, SearchOutcome, SortedSetDictionary
 
 
 class _InPlaceSearch(SortedSetDictionary):
-    """One flat key list, searched by the subclass's window ``search``."""
+    """One flat key list, searched in place on any window; ``starts`` is
+    not needed and not kept."""
 
-    def __init__(self, keys: list[int]):
+    def __init__(self, keys: list[int], starts: Sequence[int]):
         self._keys = keys
-
-    @classmethod
-    def build(cls, keys: Sequence[int]) -> "_InPlaceSearch":
-        return cls(_checked_keys(keys))
-
-    @staticmethod
-    @abstractmethod
-    def search(keys: Sequence[int], x: int, lo: int, hi: int) -> SearchOutcome:
-        """Rank of ``x`` within the sorted window ``keys[lo:hi]``."""
 
     def __len__(self) -> int:
         return len(self._keys)
 
-    def rank_search(self, x: int) -> SearchOutcome:
-        return self.search(self._keys, x, 0, len(self._keys))
-
     def space_bytes(self) -> int:
         return KEY_BYTES * len(self._keys)
-
-    @staticmethod
-    def overhead_bytes() -> int:
-        """Nothing beyond the searched keys; static, so that the class
-        itself can stand for the windows of a shared key list."""
-        return 0
 
 
 class BranchyBinarySearch(_InPlaceSearch):
     kind_id = "bbs"
 
-    @staticmethod
-    def search(keys: Sequence[int], x: int, lo: int, hi: int) -> SearchOutcome:
+    def search(self, x: int, lo: int, hi: int) -> SearchOutcome:
+        keys = self._keys
         while lo < hi:
             mid = (lo + hi) // 2
             v = keys[mid]
@@ -86,8 +61,8 @@ class UniformBinarySearch(_InPlaceSearch):
 
     kind_id = "bfs"
 
-    @staticmethod
-    def search(keys: Sequence[int], x: int, lo: int, hi: int) -> SearchOutcome:
+    def search(self, x: int, lo: int, hi: int) -> SearchOutcome:
+        keys = self._keys
         if lo == hi:
             return SearchOutcome(lo, False)
         base, m = lo, hi - lo
@@ -103,8 +78,8 @@ class UniformBinarySearch(_InPlaceSearch):
 class InterpolationSearch(_InPlaceSearch):
     kind_id = "is"
 
-    @staticmethod
-    def search(keys: Sequence[int], x: int, lo: int, hi: int) -> SearchOutcome:
+    def search(self, x: int, lo: int, hi: int) -> SearchOutcome:
+        keys = self._keys
         hi -= 1  # inclusive from here on
         while lo <= hi and keys[lo] <= x <= keys[hi]:
             if lo == hi:

@@ -28,10 +28,10 @@ and leaves the rest of a segment wider than that to the scalar loop.
 
 Queries ignore the predictions entirely: a binary search over the
 segments' first keys picks the interval, and the dictionary kind answers
-on the segment's window ``[start_rank, end_rank)`` of the sorted key list:
-the in-place kinds (``bbs``, ``bfs``, ``is``) search the one shared key
-list, the others a dictionary of the segment's own.  One routing level,
-nothing recursive.
+on the segment's window ``[start_rank, end_rank)`` of the sorted key list,
+as it does on a bin's (see ``binning``): one instance of the kind holds
+all the windows, and no segment gets a dictionary or a key copy of its
+own.  One routing level, nothing recursive.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DictboostError, SortedKeySet
-from .dictionaries import DictKind, IntervalModel
+from .dictionaries import IntervalModel
 
 PER_SEGMENT_BYTES = 48  # routing key + (first_key, slope, intercept, start, end)
 _SCALAR_HEAD = 32  # candidates per segment grown in Python before numpy takes over
@@ -191,7 +191,7 @@ class SegmentedDictionary(IntervalModel):
 
     HEADER_BYTES = PER_SEGMENT_BYTES
 
-    def __init__(self, keys: SortedKeySet, eps: int, dict_kind: DictKind = "bbs"):
+    def __init__(self, keys: SortedKeySet, eps: int, dict_kind: str = "bbs"):
         if eps < 0:
             raise DictboostError(f"eps must be >= 0, got {eps}")
         if not len(keys):

@@ -296,10 +296,17 @@ class TestBadNumbers:
         ["bench-boost", "--dataset", "KEYS", "--repeats", "0"],
         ["bench-boost", "--dataset", "KEYS", "--queries", "-5"],
         ["bench-boost", "--dataset", "KEYS", "--seed", "-2"],
+        ["bench-boost", "--dataset", "KEYS", "--pcts", "-5"],
+        ["bench-boost", "--dataset", "KEYS", "--pcts", "10,100.5"],
+        ["bench-boost", "--dataset", "KEYS", "--pcts", "nan"],
         ["bench-epsilon", "--dataset", "KEYS", "--epsilons", "-4", "--queries", "100"],
         ["delta", "--sizes", "0"],
+        ["delta", "--sizes", "100", "--seeds-per-size", "-1"],
+        ["delta", "--sizes", "100", "--seeds-per-size", "0"],
         ["space", "--dataset", "KEYS", "--bounds", "0", "--queries", "100"],
         ["space", "--dataset", "KEYS", "--eps-grid", "-2", "--queries", "100"],
+        ["space", "--dataset", "KEYS", "--k-grid", "0", "--queries", "100"],
+        ["space", "--dataset", "KEYS", "--k-grid", "4,-3", "--queries", "100"],
         ["forest", "--dataset", "KEYS", "--k-max", "0"],
         ["forest", "--dataset", "KEYS", "--k-max", "-3"],
         ["forest", "--dataset", "KEYS", "--hit-mass", "2"],

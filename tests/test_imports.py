@@ -7,11 +7,15 @@ annotations included) or be listed in ``__all__``.
 
 The benchmark's workload modules import library names, private ones
 included, so a change that deletes one of them fails here, in the main
-suite, and not only when the benchmark runs.
+suite, and not only when the benchmark runs.  The benchmark's own tests
+run here too, in a subprocess, since their ``conftest.py`` would shadow
+this suite's.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +98,13 @@ def test_the_benchmark_workloads_import(module, monkeypatch):
     dictionary and the stream generator."""
     monkeypatch.syspath_prepend(str(ROOT))
     importlib.import_module(module)
+
+
+def test_the_benchmark_tests_pass():
+    """``python -m pytest -q perfbench/tests``, which also runs a short
+    traced benchmark pass over the library."""
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]

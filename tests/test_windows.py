@@ -1,6 +1,6 @@
-"""Window search: the in-place kinds answer a model's query on a window of
-one shared key list, and building a model over them makes no dictionary;
-the other kinds answer on the same windows with one dictionary each.
+"""Window search: every dictionary kind is built once over all the windows
+of one shared key list and answers a model's query on its window; a model
+builds exactly one instance of its kind.
 
 Every answer is checked against ``np.searchsorted`` (through ``bulk_rank``
 or directly on the window), never against another search of this package.
@@ -14,22 +14,12 @@ import pytest
 from dictboost import binning
 from dictboost.binning import BinGeometry, bin_starts, build_binning
 from dictboost.core import MAX_KEY, SearchOutcome, SortedKeySet
-from dictboost.dictionaries import (
-    DICTIONARY_IDS,
-    WINDOW_SEARCHES,
-    BlockTreeSearch,
-    CssTreeSearch,
-    EytzingerSearch,
-    SplayTreeDictionary,
-    make_builder,
-)
+from dictboost.dictionaries import DICTIONARY_IDS, _KINDS, _kind, make_builder
 from dictboost.dynamic import DynamicBinDict
 from dictboost.segments import build_segments
 from dictboost.workloads import gen_clustered
 
 from conftest import assert_matches_oracle, mixed_queries
-
-WINDOWED = sorted(WINDOW_SEARCHES)
 
 
 def _models(keys, kind):
@@ -79,7 +69,7 @@ class TestAgainstSearchsorted:
         assert_matches_oracle(d, keys, queries)
         assert list(d) == keys.as_list()
 
-    @pytest.mark.parametrize("kind", WINDOWED)
+    @pytest.mark.parametrize("kind", DICTIONARY_IDS)
     def test_exact_boundary_fallback(self, kind, monkeypatch):
         """The exact-int path of the bin boundaries runs only when
         ``k * r >= 2**62``; as ``r < k <= n`` that needs over 2**31 keys, so
@@ -98,7 +88,7 @@ class TestAgainstSearchsorted:
             assert exact == want == by_formula, f"k={k}"
             assert_matches_oracle(build_binning(keys, k, kind), keys, queries)
 
-    @pytest.mark.parametrize("kind", WINDOWED)
+    @pytest.mark.parametrize("kind", DICTIONARY_IDS)
     def test_clustered_keys_at_k_equals_n_leave_most_windows_empty(self, kind):
         keys = gen_clustered(3000, outlier_fraction=0.001, seed=4)
         d = build_binning(keys, len(keys), kind)
@@ -109,24 +99,29 @@ class TestAgainstSearchsorted:
         assert_matches_oracle(d, keys, queries)
 
 
-@pytest.mark.parametrize("kind", WINDOWED)
+@pytest.mark.parametrize("kind", [*DICTIONARY_IDS, "bft:1", "bft:2", "bft:3", "css:2", "css:3"])
 def test_window_search_contract(kind):
-    """Over every window of a small list: an empty window gives (lo, False),
-    the rank always lies in [lo, hi], and it equals searchsorted on the
-    window, shifted by lo."""
-    search = WINDOW_SEARCHES[kind].search
+    """Over every window of a small list, built as the kind over the
+    windows ``[0, lo)``, the empty ``[lo, lo)``, ``[lo, hi)`` and ``[hi,
+    n)``: an empty window gives (lo, False), the rank always lies in the
+    window, and it equals searchsorted on the window, shifted by lo."""
+    _, cls, params = _kind(kind)
     keys = [0, 3, 4, 9, 20, 21, 22, 40, 77, 78, 1000, MAX_KEY]
+    n = len(keys)
     arr = np.array(keys, dtype=np.uint64)
     probes = sorted({0, 1, 2, 5, 10, 19, 23, 39, 41, 76, 79, 999, 1001, MAX_KEY - 1, MAX_KEY}
                     | set(keys))
-    for lo in range(len(keys) + 1):
-        assert search(keys, 5, lo, lo) == SearchOutcome(lo, False)
-        for hi in range(lo, len(keys) + 1):
-            for x in probes:
-                got = search(keys, x, lo, hi)
-                assert lo <= got.rank <= hi
-                want = lo + int(np.searchsorted(arr[lo:hi], np.uint64(x), side="left"))
-                assert got == (want, want < hi and keys[want] == x), (lo, hi, x)
+    for lo in range(n + 1):
+        for hi in range(lo, n + 1):
+            starts = [0, lo, lo, hi, n]
+            d = cls(keys, starts, *params)
+            assert d.search(5, lo, lo) == SearchOutcome(lo, False)
+            for w_lo, w_hi in zip(starts, starts[1:]):
+                for x in probes:
+                    got = d.search(x, w_lo, w_hi)
+                    assert w_lo <= got.rank <= w_hi
+                    want = w_lo + int(np.searchsorted(arr[w_lo:w_hi], np.uint64(x), side="left"))
+                    assert got == (want, want < w_hi and keys[want] == x), (starts, w_lo, x)
 
 
 def test_geometry_uppers_are_the_exact_boundaries():
@@ -137,15 +132,11 @@ def test_geometry_uppers_are_the_exact_boundaries():
         ]
 
 
-_ALL_CLASSES = [*WINDOW_SEARCHES.values(), EytzingerSearch, BlockTreeSearch, CssTreeSearch,
-                SplayTreeDictionary]
-
-
 @pytest.fixture
 def constructed(monkeypatch):
     """Counts dictionary instances by class name while a test runs."""
     counts = Counter()
-    for cls in _ALL_CLASSES:
+    for cls in _KINDS.values():
         def counting(self, *args, _init=cls.__init__, **kwargs):
             counts[type(self).__name__] += 1
             _init(self, *args, **kwargs)
@@ -154,13 +145,16 @@ def constructed(monkeypatch):
     return counts
 
 
-def test_windowed_models_build_no_dictionaries(constructed):
+def test_models_build_one_dictionary(constructed):
+    """A model builds one instance of its kind over all its windows; an
+    in-place kind holds the key set's own list and nothing else."""
     keys = SortedKeySet(np.unique(np.random.default_rng(3).integers(0, 10**6, 500)))
-    for kind in WINDOWED:
+    for kind in DICTIONARY_IDS:
         for label, d in _models(keys, kind):
-            assert sum(constructed.values()) == 0, f"{kind} {label}: {dict(constructed)}"
+            assert sum(constructed.values()) == 1, f"{kind} {label}: {dict(constructed)}"
+            assert type(d._dict).__name__ in constructed
             assert d.rank_search(keys[7]) == (7, True)
-    binned = build_binning(keys, 100, "bfe")
-    assert constructed["EytzingerSearch"] == 100 - binned.empty_bins()
-    segmented = build_segments(keys, 2, "bfe")
-    assert constructed["EytzingerSearch"] == 100 - binned.empty_bins() + segmented.segment_count
+            if kind in ("bbs", "bfs", "is"):
+                assert vars(d._dict) == {"_keys": keys._list}
+                assert d._dict._keys is keys._list
+            constructed.clear()
