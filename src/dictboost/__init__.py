@@ -3,10 +3,12 @@
 The library splits a sorted u64 key set into intervals (equal-width bins
 or epsilon-bounded linear segments) and routes each rank query to its
 interval in O(1) or O(log segments).  Both models are one
-``IntervalModel``: an interval is a window of the one sorted key list, and
-one instance of any of the seven dictionary kinds, built over all the
-windows, answers on it.  The in-place kinds (``bbs``, ``bfs``, ``is``)
-hold just the shared list; the array layouts (``bfe``, ``bft``) one flat
+``IntervalModel``: an interval is a window of the sorted keys, and one
+instance of any of the seven dictionary kinds, built over all the windows
+of the key set's ``view`` (a read-only ``memoryview`` of its u64 buffer),
+answers on it.  A kind reads any int sequence: a plain build's checked
+list, or a model's view.  The in-place kinds (``bbs``, ``bfs``, ``is``)
+hold just that sequence; the array layouts (``bfe``, ``bft``) one flat
 layout and rank list, ``css`` separator levels per window longer than its
 fanout, and ``splay`` one tree per window.  A dynamic variant keeps the
 scheme valid under inserts and deletes with an amortized rebuild policy,

@@ -3,14 +3,15 @@
 The key range ``[A[0], A[n-1]]`` is cut into ``k`` equal-width bins.  A
 query computes its bin in O(1) integer arithmetic, and a cumulative-rank
 table turns the bin into a window ``[starts[b-1], starts[b])`` of the
-sorted key list.  One instance of the dictionary kind, built over all the
-bins' windows of the one shared key list, answers on that window with the
-global rank: the in-place kinds (``bbs``, ``bfs``, ``is``) search the list
-itself, ``bfe`` and ``bft`` the bin's window of one flat layout, ``css``
-the bin's separator levels (if it holds more keys than the fanout) over
-the list, ``splay`` the bin's own tree.  An empty window answers with its
-start rank.  Out-of-range queries never touch a bin: they short-circuit to
-rank 0 or rank n.
+sorted keys.  One instance of the dictionary kind, built over all the
+bins' windows of the key set's ``view`` (a read-only ``memoryview`` of its
+u64 buffer), answers on that window with the global rank: the in-place
+kinds (``bbs``, ``bfs``, ``is``) search the view itself, ``bfe`` and
+``bft`` the bin's window of one flat layout, ``css`` the bin's separator
+levels (if it holds more keys than the fanout) over the view, ``splay``
+the bin's own tree.  An empty window answers with its start rank.
+Out-of-range queries never touch a bin: they short-circuit to rank 0 or
+rank n.
 
 Bin ``b`` (1-based) covers keys ``x`` with
 ``upper(b-1) < x <= upper(b)`` where ``upper(b) = lo + floor(b*span/k)``,
@@ -106,7 +107,7 @@ def bin_occupancy(keys: SortedKeySet, k: int) -> np.ndarray:
 
 
 class BinnedDictionary(IntervalModel, BinGeometry):
-    """k equal-width bins, each answered on its window of the key list.
+    """k equal-width bins, each answered on its window of the key set.
 
     Satisfies the same rank-search protocol as the bare dictionaries, so a
     ``BinnedDictionary`` with ``k == 1`` answers bit-identically to the

@@ -19,7 +19,6 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice, repeat
 from numbers import Integral
 from operator import index, lt
@@ -44,11 +43,14 @@ class DistributionError(DictboostError):
 
 
 class SearchOutcome(NamedTuple):
-    """Result of a rank search.
+    """Result of a rank search, with named fields.
 
     ``rank`` is the 0-based index of the smallest key ``>= x`` (``n`` when
     every key is smaller than ``x``); ``found`` is true iff ``keys[rank]``
-    exists and equals ``x``.
+    exists and equals ``x``.  The dictionaries and models return the same
+    pair as a plain ``(rank, found)`` tuple, which compares equal to this
+    one: building a named tuple costs several times a plain one, on every
+    query.
     """
 
     rank: int
@@ -128,11 +130,13 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 class SortedKeySet:
     """Immutable sorted sequence of distinct u64 keys.
 
-    Keys are canonically held in a read-only numpy array for vector work
-    (generation, file IO, bulk oracles); ``as_list()`` exposes a cached
-    plain-int view that the hand-written search loops index much faster.
-    A writable uint64 array passed in is copied, so the caller may go on
-    writing to it; a read-only one is kept as it is.
+    Keys are held in one read-only numpy array for vector work
+    (generation, file IO, bulk oracles).  ``view`` is a read-only
+    ``memoryview`` of that same buffer: indexing it gives a plain Python
+    int, so the learned models' search loops read the keys in place, with
+    no per-key object.  ``as_list()`` returns a fresh list.  A writable
+    uint64 array passed in is copied, so the caller may go on writing to
+    it; a read-only one is kept as it is.
 
     ``universe_hint`` optionally records the closed universe ``[lo, hi]``
     the keys were drawn from, which the query generators use to sample
@@ -154,6 +158,7 @@ class SortedKeySet:
             raise InvalidKeySetError("keys must be strictly increasing")
         arr.setflags(write=False)
         self._arr = arr
+        self.view = memoryview(arr)
         if universe_hint is not None:
             u_lo, u_hi = int(universe_hint[0]), int(universe_hint[1])
             if arr.size and not (u_lo <= int(arr[0]) and int(arr[-1]) <= u_hi):
@@ -179,10 +184,10 @@ class SortedKeySet:
         return int(self._arr.size)
 
     def __getitem__(self, i: int) -> int:
-        return int(self._arr[i])
+        return self.view[i]
 
     def __iter__(self):
-        return iter(self.as_list())
+        return iter(self.view)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SortedKeySet):
@@ -192,6 +197,10 @@ class SortedKeySet:
     def __repr__(self) -> str:
         return f"SortedKeySet(n={len(self)})"
 
+    def __reduce__(self):
+        # a memoryview cannot be pickled; the copy makes its own view
+        return type(self), (self._arr, self.universe_hint)
+
     # -- views ---------------------------------------------------------------
 
     @property
@@ -199,14 +208,9 @@ class SortedKeySet:
         """Read-only uint64 view, sorted ascending."""
         return self._arr
 
-    @cached_property
-    def _list(self) -> list[int]:
-        # shared read-only cache, which the binned and segmented models
-        # search in place; hand copies to other callers, they do mutate
-        return self._arr.tolist()
-
     def as_list(self) -> list[int]:
-        return list(self._list)
+        """The keys as a new list of ints, the caller's to change."""
+        return self._arr.tolist()
 
     @property
     def lo(self) -> int:
@@ -222,22 +226,23 @@ class SortedKeySet:
 
     # -- basic queries (bisect-backed plumbing, not the measured paths) ------
 
-    def rank_of(self, x: int) -> SearchOutcome:
-        r = int(np.searchsorted(self._arr, np.uint64(x), side="left")) if len(self) else 0
-        return SearchOutcome(r, r < len(self) and int(self._arr[r]) == x)
+    def rank_of(self, x: int) -> tuple[int, bool]:
+        """``(rank, found)`` of any int ``x``, also one outside the u64 range."""
+        r = bisect_left(self.view, x)
+        return r, r < len(self) and self.view[r] == x
 
     def predecessor_of(self, x: int) -> int | None:
         """Largest key strictly smaller than ``x``, or None."""
-        r = self.rank_of(x).rank
+        r, _ = self.rank_of(x)
         return self[r - 1] if r > 0 else None
 
     def range_between(self, x: int, y: int) -> list[int]:
-        """Keys in the closed interval ``[x, y]``: two rank searches plus a
-        slice of the sorted view."""
+        """Keys in the closed interval ``[x, y]``: two rank searches on the
+        view plus a slice of the array."""
         if y < x:
             return []
-        lst = self._list
-        return lst[bisect_left(lst, x):bisect_right(lst, y)]
+        view = self.view
+        return self._arr[bisect_left(view, x):bisect_right(view, y)].tolist()
 
 
 def gap_stats(keys: SortedKeySet | Sequence[int] | np.ndarray) -> GapStats:
@@ -319,14 +324,17 @@ def oracle_rank_search(keys: Sequence[int], x: int) -> SearchOutcome:
 
 class SortedSetDictionary(ABC):
     """A sorted-set dictionary kind, built once over the windows of one
-    sorted key list.
+    sorted key sequence.
 
-    ``Kind(keys, starts[, param])`` takes sorted distinct u64 ``keys`` as a
-    list, which it reads but never changes, and the ascending ranks
-    ``starts`` (first 0, last ``n``): window ``j`` is ``[starts[j-1],
-    starts[j])``.  No kind copies keys per window.  ``search(x, lo, hi)`` answers on one such window with the
-    global rank.  ``build(keys)`` is the plain dictionary, the kind over the
-    single window ``[0, n)``, and ``rank_search(x)`` is its search over it.
+    ``Kind(keys, starts[, param])`` takes sorted distinct u64 ``keys`` as
+    any sequence of ints, which it reads but never changes: a plain build's
+    checked list, or a model's ``SortedKeySet.view`` of the key set's
+    buffer.  ``starts`` are ascending ranks (first 0, last ``n``): window
+    ``j`` is ``[starts[j-1], starts[j])``.  No kind copies keys per window.
+    ``search(x, lo, hi)`` answers on one such window with the global rank,
+    as a plain ``(rank, found)`` tuple.  ``build(keys)`` is the plain
+    dictionary, the kind over the single window ``[0, n)``, and
+    ``rank_search(x)`` is its search over it.
     Instances are safe for concurrent readers unless documented otherwise
     (the splay tree mutates on reads and needs exclusive access).
     """
@@ -344,12 +352,12 @@ class SortedSetDictionary(ABC):
         return cls(ks, [0, len(ks)], *args, **kwargs)
 
     @abstractmethod
-    def search(self, x: int, lo: int, hi: int) -> SearchOutcome:
+    def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         """Rank of ``x`` within the window ``keys[lo:hi]``, one of the
         windows the kind was built over: in ``[lo, hi]``, and ``(lo, False)``
         for an empty window."""
 
-    def rank_search(self, x: int) -> SearchOutcome:
+    def rank_search(self, x: int) -> tuple[int, bool]:
         return self.search(x, 0, len(self))
 
     @abstractmethod

@@ -15,20 +15,21 @@ splay   SplayTreeDictionary                   -
 ======  ====================================  ==========================
 
 :class:`IntervalModel` is what the learned models (equal-width bins,
-epsilon segments) share: a model cuts the sorted key list into intervals
-and names the interval of a query; one instance of the dictionary kind,
-built over all the intervals as windows of the one shared key list,
-answers on that window.  The in-place kinds (``bbs``, ``bfs``, ``is``)
-hold the list itself, ``bfe`` and ``bft`` one flat layout and rank list,
-``css`` the separator levels of the windows longer than its fanout, and
-``splay`` one tree per window.
+epsilon segments) share: a model cuts the sorted keys into intervals and
+names the interval of a query; one instance of the dictionary kind, built
+over all the intervals as windows of the key set's ``view`` (a read-only
+``memoryview`` of its u64 buffer), answers on that window.  A kind reads
+any int sequence: a plain build's checked list, or a model's view.  The
+in-place kinds (``bbs``, ``bfs``, ``is``) hold the view itself, ``bfe``
+and ``bft`` one flat layout and rank list, ``css`` the separator levels of
+the windows longer than its fanout, and ``splay`` one tree per window.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..core import KEY_BYTES, DictboostError, SearchOutcome, SortedKeySet, SortedSetDictionary
+from ..core import KEY_BYTES, DictboostError, SortedKeySet, SortedSetDictionary
 from .css import CssTreeSearch
 from .layouts import BlockTreeSearch, EytzingerSearch
 from .sorted_array import BranchyBinarySearch, InterpolationSearch, UniformBinarySearch
@@ -123,9 +124,9 @@ class IntervalModel:
     interval) and names the interval of a query with ``interval(x)``: the
     ``j`` whose window ``keys[starts[j-1]:starts[j]]`` answers an in-range
     ``x``.  The dictionary kind ``dict_kind``, a spec string, is built once
-    over all those windows of the key set's shared list, which was checked
-    when the key set was made.  Queries outside ``[lo, hi]`` answer without
-    routing.
+    over all those windows of the key set's ``view``, which was checked
+    when the key set was made; no per-key object is made.  Queries outside
+    ``[lo, hi]`` answer without routing.
     """
 
     HEADER_BYTES: int
@@ -134,7 +135,7 @@ class IntervalModel:
         self.keys = keys
         self._starts = starts
         self.dict_id, kind, params = _kind(dict_kind)
-        self._dict = kind(keys._list, starts, *params)
+        self._dict = kind(keys.view, starts, *params)
         self._lo = keys.lo
         self._hi = keys.hi
         self._n = len(keys)
@@ -151,11 +152,23 @@ class IntervalModel:
         """The 1-based interval ``j`` of an in-range ``x``."""
         raise NotImplementedError
 
-    def rank_search(self, x: int) -> SearchOutcome:
+    def __getstate__(self) -> dict:
+        # the dictionary may hold the key set's view, which cannot be
+        # pickled; a copy builds its own over the copied key set
+        state = self.__dict__.copy()
+        del state["_dict"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        _, kind, params = _kind(self.dict_id)
+        self._dict = kind(self.keys.view, self._starts, *params)
+
+    def rank_search(self, x: int) -> tuple[int, bool]:
         if x < self._lo:
-            return SearchOutcome(0, False)
+            return 0, False
         if x > self._hi:
-            return SearchOutcome(self._n, False)
+            return self._n, False
         j = self.interval(x)
         return self._dict.search(x, self._starts[j - 1], self._starts[j])
 

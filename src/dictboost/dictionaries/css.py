@@ -11,7 +11,8 @@ Every separator equals the maximum of its subtree, so descending into the
 leftmost child whose separator is ``>= x`` lands exactly on the leaf group
 containing the successor of ``x``.
 
-The leaf scan reads the one shared key list.  Only a window longer than
+The leaf scan reads the keys the kind was built over, a plain build's
+list or a model's view of the key set.  Only a window longer than
 the fanout has separator levels; they are kept in one dict keyed by the
 window's start rank, and a shorter window is one leaf group.
 """
@@ -20,13 +21,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core import KEY_BYTES, DictboostError, SearchOutcome, SortedSetDictionary
+from ..core import KEY_BYTES, DictboostError, SortedSetDictionary
 
 
-def _maxima(below: list[int], f: int, lo: int, hi: int) -> list[int]:
+def _maxima(below: Sequence[int], f: int, lo: int, hi: int) -> list[int]:
     """The maximum of each group of ``f`` consecutive entries of
-    ``below[lo:hi]``."""
-    top = below[lo + f - 1:hi:f]
+    ``below[lo:hi]``, as a new list (a slice of a view is a view)."""
+    top = list(below[lo + f - 1:hi:f])
     if (hi - lo) % f:
         top.append(below[hi - 1])
     return top
@@ -36,7 +37,7 @@ class CssTreeSearch(SortedSetDictionary):
     kind_id = "css"
     DEFAULT_FANOUT = 16
 
-    def __init__(self, keys: list[int], starts: Sequence[int], fanout: int | None = None):
+    def __init__(self, keys: Sequence[int], starts: Sequence[int], fanout: int | None = None):
         f = self.DEFAULT_FANOUT if fanout is None else int(fanout)
         if f < 2:
             raise DictboostError(f"fanout must be >= 2, got {f}")
@@ -55,7 +56,7 @@ class CssTreeSearch(SortedSetDictionary):
     def __len__(self) -> int:
         return len(self._keys)
 
-    def search(self, x: int, lo: int, hi: int) -> SearchOutcome:
+    def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         f = self._fanout
         group = 0  # index of the current node within its level
         for level in reversed(self._levels.get(lo, ())):
@@ -68,15 +69,15 @@ class CssTreeSearch(SortedSetDictionary):
                     break
             if child < 0:
                 # x exceeds the subtree maximum; only possible at the root
-                return SearchOutcome(hi, False)
+                return hi, False
             group = child
         keys = self._keys
         start = lo + group * f
         for r in range(start, min(start + f, hi)):
             v = keys[r]
             if v >= x:
-                return SearchOutcome(r, v == x)
-        return SearchOutcome(hi, False)
+                return r, v == x
+        return hi, False
 
     def space_bytes(self) -> int:
         inner = sum(len(lv) for levels in self._levels.values() for lv in levels)

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..core import KEY_BYTES, DictboostError, SearchOutcome, SortedSetDictionary
+from ..core import KEY_BYTES, DictboostError, SortedSetDictionary
 
 
 def _inorder_ranks(m: int, b: int) -> np.ndarray:
@@ -54,9 +54,12 @@ def _inorder_ranks(m: int, b: int) -> np.ndarray:
     return ranks
 
 
-def _window_layouts(keys: list[int], starts: Sequence[int], b: int) -> tuple[list[int], list[int]]:
+def _window_layouts(keys: Sequence[int], starts: Sequence[int], b: int) -> tuple[list[int], list[int]]:
     """``(layout, ranks)`` of all the windows of ``starts``, each laid out
-    by :func:`_inorder_ranks` with block size ``b``."""
+    by :func:`_inorder_ranks` with block size ``b``.  The keys are gathered
+    by one numpy fancy index: over a key set's view ``np.asarray`` makes no
+    copy, and over a plain build's list it is about as fast as indexing the
+    list once per rank."""
     st = np.asarray(starts, dtype=np.int64)
     lens = np.diff(st)
     by_len = np.argsort(lens, kind="stable")
@@ -67,8 +70,7 @@ def _window_layouts(keys: list[int], starts: Sequence[int], b: int) -> tuple[lis
         if m:
             los = st[group][:, None]
             ranks[los + np.arange(m)] = los + _inorder_ranks(m, b)
-    rank_list = ranks.tolist()
-    return list(map(keys.__getitem__, rank_list)), rank_list
+    return np.asarray(keys, dtype=np.uint64)[ranks].tolist(), ranks.tolist()
 
 
 class EytzingerSearch(SortedSetDictionary):
@@ -83,13 +85,13 @@ class EytzingerSearch(SortedSetDictionary):
 
     kind_id = "bfe"
 
-    def __init__(self, keys: list[int], starts: Sequence[int]):
+    def __init__(self, keys: Sequence[int], starts: Sequence[int]):
         self._layout, self._ranks = _window_layouts(keys, starts, 1)
 
     def __len__(self) -> int:
         return len(self._layout)
 
-    def search(self, x: int, lo: int, hi: int) -> SearchOutcome:
+    def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         layout = self._layout
         base = lo - 1  # node t of the window sits at layout[base + t]
         m = hi - lo
@@ -99,8 +101,8 @@ class EytzingerSearch(SortedSetDictionary):
         # (t ^ (t+1)) is a mask of t's trailing ones plus the next zero bit.
         t >>= (t ^ (t + 1)).bit_length()
         if t == 0:
-            return SearchOutcome(hi, False)
-        return SearchOutcome(self._ranks[base + t], layout[base + t] == x)
+            return hi, False
+        return self._ranks[base + t], layout[base + t] == x
 
     def space_bytes(self) -> int:
         return 2 * KEY_BYTES * len(self._layout)
@@ -136,7 +138,7 @@ class BlockTreeSearch(SortedSetDictionary):
     kind_id = "bft"
     DEFAULT_BLOCK = 8
 
-    def __init__(self, keys: list[int], starts: Sequence[int], block: int | None = None):
+    def __init__(self, keys: Sequence[int], starts: Sequence[int], block: int | None = None):
         b = self.DEFAULT_BLOCK if block is None else int(block)
         if b < 1:
             raise DictboostError(f"block size must be >= 1, got {b}")
@@ -147,7 +149,7 @@ class BlockTreeSearch(SortedSetDictionary):
     def __len__(self) -> int:
         return len(self._layout)
 
-    def search(self, x: int, lo: int, hi: int) -> SearchOutcome:
+    def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         layout = self._layout
         b = self._block
         node = 0  # block number within the window
@@ -168,8 +170,8 @@ class BlockTreeSearch(SortedSetDictionary):
             node = node * (b + 1) + nth + 1
             start = lo + node * b
         if best < 0:
-            return SearchOutcome(hi, False)
-        return SearchOutcome(self._ranks[best], layout[best] == x)
+            return hi, False
+        return self._ranks[best], layout[best] == x
 
     def space_bytes(self) -> int:
         return 2 * KEY_BYTES * len(self._layout)

@@ -11,24 +11,25 @@ zero space overhead.  They differ only in how they walk it:
   great on near-uniform gaps, degrades to a guarded scan otherwise.
 
 Each walk is a ``search(x, lo, hi)`` over the window ``keys[lo:hi]`` of
-one sorted list, any window at all.  It answers with the global rank, in
-``[lo, hi]``, and ``(lo, False)`` on an empty window.  An instance holds a
-reference to that list and nothing else: the plain dictionary holds its
-own list, a learned model the key set's shared one.
+one sorted int sequence, any window at all.  It answers with the global
+rank, in ``[lo, hi]``, and ``(lo, False)`` on an empty window.  An
+instance holds a reference to that sequence and nothing else: the plain
+dictionary its own checked list, a learned model the key set's ``view``
+of its u64 buffer.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..core import KEY_BYTES, SearchOutcome, SortedSetDictionary
+from ..core import KEY_BYTES, SortedSetDictionary
 
 
 class _InPlaceSearch(SortedSetDictionary):
-    """One flat key list, searched in place on any window; ``starts`` is
-    not needed and not kept."""
+    """One flat key sequence, searched in place on any window; ``starts``
+    is not needed and not kept."""
 
-    def __init__(self, keys: list[int], starts: Sequence[int]):
+    def __init__(self, keys: Sequence[int], starts: Sequence[int]):
         self._keys = keys
 
     def __len__(self) -> int:
@@ -41,7 +42,7 @@ class _InPlaceSearch(SortedSetDictionary):
 class BranchyBinarySearch(_InPlaceSearch):
     kind_id = "bbs"
 
-    def search(self, x: int, lo: int, hi: int) -> SearchOutcome:
+    def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         keys = self._keys
         while lo < hi:
             mid = (lo + hi) // 2
@@ -51,8 +52,8 @@ class BranchyBinarySearch(_InPlaceSearch):
             elif x > v:
                 lo = mid + 1
             else:
-                return SearchOutcome(mid, True)
-        return SearchOutcome(lo, False)
+                return mid, True
+        return lo, False
 
 
 class UniformBinarySearch(_InPlaceSearch):
@@ -61,10 +62,10 @@ class UniformBinarySearch(_InPlaceSearch):
 
     kind_id = "bfs"
 
-    def search(self, x: int, lo: int, hi: int) -> SearchOutcome:
+    def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         keys = self._keys
         if lo == hi:
-            return SearchOutcome(lo, False)
+            return lo, False
         base, m = lo, hi - lo
         while m > 1:
             half = m // 2
@@ -72,23 +73,23 @@ class UniformBinarySearch(_InPlaceSearch):
                 base += half
             m -= half
         rank = base + (1 if keys[base] < x else 0)
-        return SearchOutcome(rank, rank < hi and keys[rank] == x)
+        return rank, rank < hi and keys[rank] == x
 
 
 class InterpolationSearch(_InPlaceSearch):
     kind_id = "is"
 
-    def search(self, x: int, lo: int, hi: int) -> SearchOutcome:
+    def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         keys = self._keys
         hi -= 1  # inclusive from here on
         while lo <= hi and keys[lo] <= x <= keys[hi]:
             if lo == hi:
-                return SearchOutcome(lo, keys[lo] == x)
+                return lo, keys[lo] == x
             # linear probe; the loop guard keeps the estimate inside [lo, hi]
             pos = lo + int((hi - lo) / (keys[hi] - keys[lo]) * (x - keys[lo]))
             v = keys[pos]
             if v == x:
-                return SearchOutcome(pos, True)
+                return pos, True
             if v < x:
                 lo = pos + 1
             else:
@@ -96,5 +97,5 @@ class InterpolationSearch(_InPlaceSearch):
         # Window invariant: x is above every key left of lo and below every
         # key right of hi.
         if hi < lo or x < keys[lo]:
-            return SearchOutcome(lo, False)
-        return SearchOutcome(hi + 1, False)
+            return lo, False
+        return hi + 1, False

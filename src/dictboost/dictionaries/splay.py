@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core import SearchOutcome, SortedSetDictionary
+from ..core import SortedSetDictionary
 
 _NODE_BYTES = 40  # key + left/right/parent + size, one word each
 
@@ -79,7 +79,7 @@ def _splay(x: _Node) -> None:
 class SplayTreeDictionary(SortedSetDictionary):
     kind_id = "splay"
 
-    def __init__(self, keys: list[int], starts: Sequence[int]):
+    def __init__(self, keys: Sequence[int], starts: Sequence[int]):
         """Balanced trees over the windows, so that each starts at depth
         log of its length; the splay discipline only concerns accesses
         after that."""
@@ -106,9 +106,9 @@ class SplayTreeDictionary(SortedSetDictionary):
     def __len__(self) -> int:
         return self._n
 
-    def search(self, x: int, lo: int, hi: int) -> SearchOutcome:
+    def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         if lo == hi:
-            return SearchOutcome(lo, False)
+            return lo, False
         node = self._roots[lo]
         last = node
         rank = lo
@@ -124,7 +124,7 @@ class SplayTreeDictionary(SortedSetDictionary):
                 break
         _splay(last)
         self._roots[lo] = last
-        return SearchOutcome(rank, node is not None)
+        return rank, node is not None
 
     def space_bytes(self) -> int:
         return _NODE_BYTES * self._n

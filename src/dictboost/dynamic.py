@@ -60,7 +60,6 @@ from .core import (
     DictboostError,
     InvalidKeySetError,
     MAX_KEY,
-    SearchOutcome,
     SortedKeySet,
     gap_stats,
 )
@@ -267,17 +266,17 @@ class DynamicBinDict:
     def __len__(self) -> int:
         return self._size
 
-    def rank_search(self, x: int) -> SearchOutcome:
+    def rank_search(self, x: int) -> tuple[int, bool]:
         x = _as_key(x)
         if self._size == 0:
-            return SearchOutcome(0, False)
+            return 0, False
         b = self._bin_of(x)
         base = self._fenwick.prefix(b)
         keys = self._bins[b]
         if not keys:
-            return SearchOutcome(base, False)
+            return base, False
         i = bisect_left(keys, x)
-        return SearchOutcome(base + i, i < len(keys) and keys[i] == x)
+        return base + i, i < len(keys) and keys[i] == x
 
     def select(self, j: int) -> int:
         if not 0 <= j < self._size:

@@ -217,7 +217,7 @@ def bin_weights(keys: SortedKeySet, k: int, dist: AccessDistribution) -> BinAcce
     slots = np.zeros(n + k)
     slots[same + left[same]] += dist.q[same]  # adding to 0.0 stores a -0.0 weight as 0.0
     uppers = BinGeometry(keys.lo, keys.hi, k).uppers().tolist()
-    ks = keys.as_list()
+    ks = keys.view
     # a gap across bins shares its mass by overlap, in exact int arithmetic;
     # the overlap is 0 with the left key's bin when that key is its upper edge
     for i in np.flatnonzero((left != right) & (dist.q > 0)).tolist():

@@ -28,10 +28,10 @@ and leaves the rest of a segment wider than that to the scalar loop.
 
 Queries ignore the predictions entirely: a binary search over the
 segments' first keys picks the interval, and the dictionary kind answers
-on the segment's window ``[start_rank, end_rank)`` of the sorted key list,
-as it does on a bin's (see ``binning``): one instance of the kind holds
-all the windows, and no segment gets a dictionary or a key copy of its
-own.  One routing level, nothing recursive.
+on the segment's window ``[start_rank, end_rank)`` of the key set's
+``view``, as it does on a bin's (see ``binning``): one instance of the
+kind holds all the windows, and no segment gets a dictionary or a key
+copy of its own.  One routing level, nothing recursive.
 """
 
 from __future__ import annotations
@@ -70,18 +70,16 @@ class Segment:
 def _fit_segments(ks: SortedKeySet | Sequence[int] | np.ndarray, eps: int) -> list[Segment]:
     """Greedy shrinking-cone segments of the sorted keys ``ks``.
 
-    ``ks`` is a key set, whose array and cached list are used as they are,
-    or sorted distinct keys as a uint64 array or a list of ints.  Every
+    ``ks`` is a key set, whose array is used as it is, or sorted distinct
+    keys as a uint64 array or a list of ints; either is read through a
+    memoryview of one uint64 array.  Every
     multi-member slope is > 0: the upper end ``hi`` is ``(off_h + eps) /
     d_h`` for some member ``h`` and ``lo >= (off_h - eps) / d_h``, so ``lo +
     hi >= 2 * off_h / d_h > 0`` (each quotient is rounded by at most 2**-53
     of itself, which cannot flip that sign while eps < 2**53).
     """
-    if isinstance(ks, SortedKeySet):
-        arr, keys = ks.array, ks._list
-    else:
-        arr = np.ascontiguousarray(ks, dtype=np.uint64)
-        keys = memoryview(arr)  # Python ints for the scalar steps, with no list copy
+    arr = ks.array if isinstance(ks, SortedKeySet) else np.ascontiguousarray(ks, dtype=np.uint64)
+    keys = memoryview(arr)  # Python ints for the scalar steps, with no list copy
     n = len(keys)
     segs: list[Segment] = []
     i = 0
@@ -187,7 +185,7 @@ def _exact_stop(arr: np.ndarray, i: int, stop: int, eps: int) -> int:
 
 class SegmentedDictionary(IntervalModel):
     """Epsilon-segmented key set: route by first-key binary search, then
-    answer on the segment's window of the key list."""
+    answer on the segment's window of the key set."""
 
     HEADER_BYTES = PER_SEGMENT_BYTES
 

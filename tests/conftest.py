@@ -53,7 +53,8 @@ def assert_matches_oracle(structure, keys, queries):
     ranks, found = bulk_rank(keys, queries)
     for x, r, f in zip(queries, ranks, found):
         got = structure.rank_search(int(x))
-        assert got.rank == int(r) and got.found == bool(f), (
+        rank, hit = got
+        assert rank == int(r) and hit == bool(f), (
             f"x={x}: structure said {tuple(got)}, oracle said {(int(r), bool(f))}"
         )
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dictboost.binning import build_binning
 from dictboost.core import (
     AccessDistribution,
     DistributionError,
@@ -24,6 +25,7 @@ from dictboost.core import (
     oracle_rank_search,
     sorted_unique,
 )
+from dictboost.segments import build_segments
 
 from conftest import TEN_KEYS, bulk_rank, mixed_queries
 
@@ -210,6 +212,76 @@ class TestSortedKeySet:
         assert sk.lo == 0 and sk.hi == MAX_KEY
         assert sk.rank_of(MAX_KEY) == SearchOutcome(1, True)
         assert sk.rank_of(1) == SearchOutcome(1, False)
+
+
+class TestKeySetView:
+    """``SortedKeySet.view``, the read-only memoryview the learned models
+    search, over every kind of input the key set accepts."""
+
+    @staticmethod
+    def _strided():
+        arr = np.arange(0, 3000, 7, dtype=np.uint64)[::3]
+        arr.setflags(write=False)
+        return arr
+
+    def test_view_reads_the_keys_as_plain_ints_for_every_input(self):
+        strided = self._strided()
+        writable = np.array([2, 9, 30], dtype=np.uint64)
+        inputs = [
+            TEN_KEYS,
+            [0, MAX_KEY],
+            np.array([1, 5], dtype=np.int32),
+            [np.uint64(3), 4],
+            writable,
+            strided,
+            SortedKeySet.from_unsorted([9, 1, 9, 4])[0].array,
+        ]
+        for keys in inputs:
+            sk = SortedKeySet(keys)
+            want = [int(v) for v in np.asarray(keys, dtype=np.uint64)]
+            assert len(sk.view) == len(sk) == len(want)
+            assert all(type(v) is int for v in sk.view)
+            assert list(sk.view) == list(sk) == sk.as_list() == want
+            assert sk.view is sk.view  # one view per key set
+            assert sk.view.readonly
+
+    def test_strided_read_only_array_is_searched_without_a_copy(self):
+        """Such an array is kept as it is, so the view is not contiguous;
+        a binned and a segmented model over it still equal searchsorted."""
+        arr = self._strided()
+        sk = SortedKeySet(arr)
+        assert sk.array is arr
+        assert not sk.view.contiguous
+        queries = list(range(3010))
+        ranks, found = bulk_rank(sk, queries)
+        for d in (build_binning(sk, 17, "bbs"), build_segments(sk, 2, "bbs")):
+            assert d.keys is sk
+            got = [d.rank_search(x) for x in queries]
+            assert got == list(zip(ranks.tolist(), found.tolist()))
+
+    def test_u64_extremes_through_the_view(self):
+        sk = SortedKeySet([0, 1, 2**63, MAX_KEY])
+        assert sk.view[0] == 0 and sk.view[-1] == MAX_KEY
+        assert sk.rank_of(-1) == (0, False) and sk.predecessor_of(-1) is None
+        assert sk.rank_of(MAX_KEY + 1) == (4, False) and sk.predecessor_of(2**70) == MAX_KEY
+        assert sk.range_between(0, MAX_KEY) == [0, 1, 2**63, MAX_KEY]
+        assert sk.range_between(MAX_KEY, MAX_KEY) == [MAX_KEY]
+        assert sk.range_between(2, 2**63 - 1) == []
+        assert sk.range_between(-5, 0) == [0]
+        assert sk.range_between(MAX_KEY, 2**70) == [MAX_KEY]
+
+    def test_empty_set(self):
+        sk = SortedKeySet([])
+        assert sk.as_list() == [] and list(sk) == [] and len(sk.view) == 0
+        assert sk.range_between(0, MAX_KEY) == []
+
+    def test_the_view_cannot_be_written(self):
+        sk = SortedKeySet(TEN_KEYS)
+        with pytest.raises(TypeError):
+            sk.view[0] = 1
+        with pytest.raises(TypeError):
+            sk.view[2:4] = bytes(16)
+        assert sk.as_list() == TEN_KEYS
 
 
 class TestGapStats:

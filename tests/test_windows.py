@@ -1,12 +1,16 @@
 """Window search: every dictionary kind is built once over all the windows
-of one shared key list and answers a model's query on its window; a model
-builds exactly one instance of its kind.
+of one key sequence (a plain list or a key set's view) and answers a
+model's query on its window; a model builds exactly one instance of its
+kind, over the key set's view.
 
 Every answer is checked against ``np.searchsorted`` (through ``bulk_rank``
 or directly on the window), never against another search of this package.
 """
 
+import copy
+import pickle
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +21,9 @@ from dictboost.core import MAX_KEY, SearchOutcome, SortedKeySet
 from dictboost.dictionaries import DICTIONARY_IDS, _KINDS, _kind, make_builder
 from dictboost.dynamic import DynamicBinDict
 from dictboost.segments import build_segments
-from dictboost.workloads import gen_clustered
+from dictboost.workloads import gen_clustered, gen_uniform
 
-from conftest import assert_matches_oracle, mixed_queries
+from conftest import assert_matches_oracle, bulk_rank, mixed_queries
 
 
 def _models(keys, kind):
@@ -99,29 +103,36 @@ class TestAgainstSearchsorted:
         assert_matches_oracle(d, keys, queries)
 
 
-@pytest.mark.parametrize("kind", [*DICTIONARY_IDS, "bft:1", "bft:2", "bft:3", "css:2", "css:3"])
+WINDOW_KINDS = [*DICTIONARY_IDS, "bft:1", "bft:2", "bft:3", "css:2", "css:3"]
+
+
+@pytest.mark.parametrize("kind", WINDOW_KINDS)
 def test_window_search_contract(kind):
-    """Over every window of a small list, built as the kind over the
-    windows ``[0, lo)``, the empty ``[lo, lo)``, ``[lo, hi)`` and ``[hi,
-    n)``: an empty window gives (lo, False), the rank always lies in the
-    window, and it equals searchsorted on the window, shifted by lo."""
+    """Over every window of a small key sequence, a plain list and a key
+    set's view alike, built as the kind over the windows ``[0, lo)``, the
+    empty ``[lo, lo)``, ``[lo, hi)`` and ``[hi, n)``: an empty window gives
+    (lo, False), the rank always lies in the window, and it equals
+    searchsorted on the window, shifted by lo."""
     _, cls, params = _kind(kind)
     keys = [0, 3, 4, 9, 20, 21, 22, 40, 77, 78, 1000, MAX_KEY]
     n = len(keys)
     arr = np.array(keys, dtype=np.uint64)
     probes = sorted({0, 1, 2, 5, 10, 19, 23, 39, 41, 76, 79, 999, 1001, MAX_KEY - 1, MAX_KEY}
                     | set(keys))
-    for lo in range(n + 1):
-        for hi in range(lo, n + 1):
-            starts = [0, lo, lo, hi, n]
-            d = cls(keys, starts, *params)
-            assert d.search(5, lo, lo) == SearchOutcome(lo, False)
-            for w_lo, w_hi in zip(starts, starts[1:]):
-                for x in probes:
-                    got = d.search(x, w_lo, w_hi)
-                    assert w_lo <= got.rank <= w_hi
-                    want = w_lo + int(np.searchsorted(arr[w_lo:w_hi], np.uint64(x), side="left"))
-                    assert got == (want, want < w_hi and keys[want] == x), (starts, w_lo, x)
+    for seq in (keys, SortedKeySet(keys).view):
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                starts = [0, lo, lo, hi, n]
+                d = cls(seq, starts, *params)
+                assert d.search(5, lo, lo) == SearchOutcome(lo, False)
+                for w_lo, w_hi in zip(starts, starts[1:]):
+                    for x in probes:
+                        got = d.search(x, w_lo, w_hi)
+                        rank, _ = got
+                        assert w_lo <= rank <= w_hi
+                        want = w_lo + int(np.searchsorted(arr[w_lo:w_hi], np.uint64(x), side="left"))
+                        assert got == (want, want < w_hi and keys[want] == x), (
+                            type(seq).__name__, starts, w_lo, x)
 
 
 def test_geometry_uppers_are_the_exact_boundaries():
@@ -147,7 +158,7 @@ def constructed(monkeypatch):
 
 def test_models_build_one_dictionary(constructed):
     """A model builds one instance of its kind over all its windows; an
-    in-place kind holds the key set's own list and nothing else."""
+    in-place kind holds the key set's own view and nothing else."""
     keys = SortedKeySet(np.unique(np.random.default_rng(3).integers(0, 10**6, 500)))
     for kind in DICTIONARY_IDS:
         for label, d in _models(keys, kind):
@@ -155,6 +166,70 @@ def test_models_build_one_dictionary(constructed):
             assert type(d._dict).__name__ in constructed
             assert d.rank_search(keys[7]) == (7, True)
             if kind in ("bbs", "bfs", "is"):
-                assert vars(d._dict) == {"_keys": keys._list}
-                assert d._dict._keys is keys._list
+                assert vars(d._dict) == {"_keys": keys.view}
+                assert d._dict._keys is keys.view
             constructed.clear()
+
+
+def test_every_search_path_returns_a_plain_tuple():
+    """Every kind's ``search``, every model's ``rank_search`` (the range
+    guard's answers below and above the keys too) and ``DynamicBinDict``'s
+    return exactly ``tuple``: a named tuple costs several times as much to
+    build, on every query."""
+    keys = SortedKeySet([3, 9, 20, 21, 40, 77, 1000])
+    probes = [0, 3, 10, 21, 500, 1000, 2000]
+    for kind in WINDOW_KINDS:
+        _, cls, params = _kind(kind)
+        d = cls(keys.view, [0, 2, 2, 7], *params)
+        for lo, hi in [(0, 2), (2, 2), (2, 7)]:
+            for x in probes:
+                assert type(d.search(x, lo, hi)) is tuple, (kind, lo, hi, x)
+        for label, m in _models(keys, kind):
+            for x in probes:
+                assert type(m.rank_search(x)) is tuple, (kind, label, x)
+    dyn = DynamicBinDict(keys, 64)  # most bins empty
+    for x in probes:
+        assert type(dyn.rank_search(x)) is tuple, x
+    for x in keys.as_list():
+        assert dyn.delete(x)
+    assert len(dyn) == 0
+    for x in probes:
+        assert type(dyn.rank_search(x)) is tuple, ("emptied", x)
+
+
+@pytest.mark.parametrize("kind", DICTIONARY_IDS)
+def test_models_pickle_and_copy(kind):
+    """A key set's view cannot be pickled, so a pickled or copied model
+    rebuilds its dictionary over the copied key set; the copies answer
+    every query as the original does and report the same space."""
+    keys = SortedKeySet([0, 3, 9, 20, 21, 40, 77, 1000, MAX_KEY], universe_hint=(0, MAX_KEY))
+    copied = pickle.loads(pickle.dumps(keys))
+    assert copied == keys and copied.universe_hint == keys.universe_hint
+    assert copied.view.readonly and list(copied.view) == keys.as_list()
+    queries = _extreme_queries(keys)
+    ranks, found = bulk_rank(keys, queries)
+    want = list(zip(ranks.tolist(), found.tolist()))
+    for label, d in _models(keys, kind):
+        for c in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
+            assert type(c) is type(d) and c.space_bytes() == d.space_bytes(), label
+            assert [c.rank_search(x) for x in queries] == want, label
+        assert [d.rank_search(x) for x in queries] == want, label
+
+
+def test_models_hold_no_per_key_object(monkeypatch):
+    """A binned model (k = n/10, uniform keys) and a segmented one (eps 16,
+    clustered keys) take at most 16 bytes per key in all, the 8-byte key
+    array included: a list of one int object per key alone would take
+    over 40."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.timing import structure_bytes
+
+    n = 100_000
+    models = {
+        "binning": build_binning(gen_uniform(n, 2**44, seed=11), n // 10, "bbs"),
+        "segments": build_segments(
+            gen_clustered(n, outlier_fraction=0.001, seed=12, spread=1000), 16, "bbs"),
+    }
+    for label, d in models.items():
+        per_key = structure_bytes(d) / n
+        assert per_key <= 16, f"{label}: {per_key:.1f} bytes per key"
