@@ -6,11 +6,11 @@ interval in O(1) or O(log segments).  Both models are one
 ``IntervalModel``: an interval is a window of the sorted keys, and one
 instance of any of the seven dictionary kinds, built over all the windows
 of the key set's ``view`` (a read-only ``memoryview`` of its u64 buffer),
-answers on it.  A kind reads any int sequence: a plain build's checked
-list, or a model's view.  The in-place kinds (``bbs``, ``bfs``, ``is``)
-hold just that sequence; the array layouts (``bfe``, ``bft``) one flat
-layout and rank list, ``css`` separator levels per window longer than its
-fanout, and ``splay`` one tree per window.  A dynamic variant keeps the
+answers on it.  A plain build is the same kind over the single window of
+that view.  The in-place kinds (``bbs``, ``bfs``, ``is``) hold just the
+view; the array layouts (``bfe``, ``bft``) one flat layout and rank list,
+``css`` separator levels per window longer than its fanout, and ``splay``
+one tree per window.  A dynamic variant keeps the
 scheme valid under inserts and deletes with an amortized rebuild policy,
 and a per-bin optimal-BST forest gives entropy-bounded expected search
 cost for known access distributions.  The ``dictboost`` CLI benchmarks all

@@ -257,7 +257,7 @@ def _sweep(keys, workload, dict_specs, family, params, repeats, dataset_id) -> l
     lo, hi = keys.lo, keys.hi
     records: list[BenchRecord] = []
     for dict_id, builder in _specs(dict_specs):
-        plain = builder(keys.as_list())
+        plain = builder(keys)
         plain_mean = measure_ns_per_query(plain.rank_search, queries, repeats)
         sensitive = dict_id == "splay"
         records.append(

@@ -19,9 +19,8 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
-from numbers import Integral
-from operator import index, lt
+from itertools import repeat
+from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -86,34 +85,23 @@ class GapStats:
 
 def _u64_array(keys: Iterable[int] | np.ndarray) -> np.ndarray:
     """``keys`` as a uint64 array, or :class:`InvalidKeySetError` for a
-    value that is not an integer in ``[0, MAX_KEY]``.  A uint64 array is
-    returned as it is, with no pass over its values."""
-    if isinstance(keys, np.ndarray) and keys.dtype == np.uint64:
-        return keys
-    values = keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
-    if not all(isinstance(v, Integral) for v in values):
-        raise InvalidKeySetError("keys must be integers")
-    try:
-        return np.asarray(values, dtype=np.uint64)
-    except OverflowError:
-        raise InvalidKeySetError(f"keys must lie in [0, {MAX_KEY}]") from None
-
-
-def _checked_keys(keys: Iterable[int]) -> list[int]:
-    """``keys`` as a new list of ints, or :class:`InvalidKeySetError` for a
-    value that is not an integer in ``[0, MAX_KEY]``, an unsorted value or a
-    duplicate; each check is one pass in C over the list."""
-    ks = list(keys)
-    if not all(map(isinstance, ks, repeat(int))):
+    value that is not an integer in ``[0, MAX_KEY]``, in any order.  A uint64
+    array is returned as it is; other keys take one C pass for the type and
+    one conversion, which checks the range."""
+    if isinstance(keys, np.ndarray):
+        if keys.dtype == np.uint64:
+            return keys
+        keys = keys.tolist()
+    values = keys if isinstance(keys, list) else list(keys)  # a list is only read
+    if not all(map(isinstance, values, repeat(int))):
         try:
-            ks = list(map(index, ks))
+            values = list(map(index, values))
         except TypeError:
             raise InvalidKeySetError("keys must be integers") from None
-    if not all(map(lt, ks, islice(ks, 1, None))):
-        raise InvalidKeySetError("keys must be strictly increasing")
-    if ks and (ks[0] < 0 or ks[-1] > MAX_KEY):
-        raise InvalidKeySetError(f"keys must lie in [0, {MAX_KEY}]")
-    return ks
+    try:
+        return np.fromiter(values, dtype=np.uint64, count=len(values))
+    except OverflowError:
+        raise InvalidKeySetError(f"keys must lie in [0, {MAX_KEY}]") from None
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -251,7 +239,7 @@ def gap_stats(keys: SortedKeySet | Sequence[int] | np.ndarray) -> GapStats:
     Gaps are differences of adjacent keys, so they are invariant under a
     constant shift of the whole set.
     """
-    arr = keys.array if isinstance(keys, SortedKeySet) else np.asarray(keys, dtype=np.uint64)
+    arr = keys.array if isinstance(keys, SortedKeySet) else SortedKeySet(keys).array
     if arr.size < 2:
         raise InvalidKeySetError("gap statistics need at least two keys")
     d = np.diff(arr)
@@ -327,14 +315,14 @@ class SortedSetDictionary(ABC):
     sorted key sequence.
 
     ``Kind(keys, starts[, param])`` takes sorted distinct u64 ``keys`` as
-    any sequence of ints, which it reads but never changes: a plain build's
-    checked list, or a model's ``SortedKeySet.view`` of the key set's
-    buffer.  ``starts`` are ascending ranks (first 0, last ``n``): window
-    ``j`` is ``[starts[j-1], starts[j])``.  No kind copies keys per window.
+    any sequence of ints, which it reads but never changes; every build in
+    the package passes a ``SortedKeySet.view`` of the key set's buffer.
+    ``starts`` are ascending ranks (first 0, last ``n``): window ``j`` is
+    ``[starts[j-1], starts[j])``.  No kind copies keys per window.
     ``search(x, lo, hi)`` answers on one such window with the global rank,
     as a plain ``(rank, found)`` tuple.  ``build(keys)`` is the plain
-    dictionary, the kind over the single window ``[0, n)``, and
-    ``rank_search(x)`` is its search over it.
+    dictionary, the kind over the single window ``[0, n)`` of the key
+    set's view, and ``rank_search(x)`` is its search over it.
     Instances are safe for concurrent readers unless documented otherwise
     (the splay tree mutates on reads and needs exclusive access).
     """
@@ -343,13 +331,27 @@ class SortedSetDictionary(ABC):
     kind_id: str = "?"
 
     @classmethod
-    def build(cls, keys: Iterable[int], *args, **kwargs) -> "SortedSetDictionary":
-        """The kind over sorted distinct u64 keys (at least one), in a list
-        of its own; the other arguments are the constructor's parameters."""
-        ks = _checked_keys(keys)
-        if not ks:
+    def build(cls, keys: SortedKeySet | Iterable[int], *args, **kwargs) -> "SortedSetDictionary":
+        """The kind over the view of ``keys``, a key set or anything
+        :class:`SortedKeySet` takes, with at least one key; the other
+        arguments are the constructor's parameters."""
+        if not isinstance(keys, SortedKeySet):
+            keys = SortedKeySet(keys)
+        if not len(keys):
             raise InvalidKeySetError("cannot build a dictionary over zero keys")
-        return cls(ks, [0, len(ks)], *args, **kwargs)
+        return cls(keys.view, [0, len(keys)], *args, **kwargs)
+
+    def __getstate__(self) -> dict:
+        # a view cannot be pickled: pass its key set, whose view the copy reads
+        state = self.__dict__.copy()
+        if isinstance(state.get("_keys"), memoryview):
+            state["_keys"] = SortedKeySet(state["_keys"].obj)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        if isinstance(state.get("_keys"), SortedKeySet):
+            state["_keys"] = state["_keys"].view
+        self.__dict__.update(state)
 
     @abstractmethod
     def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:

@@ -18,11 +18,11 @@ splay   SplayTreeDictionary                   -
 epsilon segments) share: a model cuts the sorted keys into intervals and
 names the interval of a query; one instance of the dictionary kind, built
 over all the intervals as windows of the key set's ``view`` (a read-only
-``memoryview`` of its u64 buffer), answers on that window.  A kind reads
-any int sequence: a plain build's checked list, or a model's view.  The
-in-place kinds (``bbs``, ``bfs``, ``is``) hold the view itself, ``bfe``
-and ``bft`` one flat layout and rank list, ``css`` the separator levels of
-the windows longer than its fanout, and ``splay`` one tree per window.
+``memoryview`` of its u64 buffer), answers on that window.  A plain build
+is the kind over the single window of the same view.  The in-place kinds
+(``bbs``, ``bfs``, ``is``) hold the view itself, ``bfe`` and ``bft`` one
+flat layout and rank list, ``css`` the separator levels of the windows
+longer than its fanout, and ``splay`` one tree per window.
 """
 
 from __future__ import annotations

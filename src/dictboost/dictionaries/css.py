@@ -11,8 +11,8 @@ Every separator equals the maximum of its subtree, so descending into the
 leftmost child whose separator is ``>= x`` lands exactly on the leaf group
 containing the successor of ``x``.
 
-The leaf scan reads the keys the kind was built over, a plain build's
-list or a model's view of the key set.  Only a window longer than
+The leaf scan reads the keys the kind was built over, the key set's
+view in a plain build and in a model alike.  Only a window longer than
 the fanout has separator levels; they are kept in one dict keyed by the
 window's start rank, and a shorter window is one leaf group.
 """

@@ -57,9 +57,8 @@ def _inorder_ranks(m: int, b: int) -> np.ndarray:
 def _window_layouts(keys: Sequence[int], starts: Sequence[int], b: int) -> tuple[list[int], list[int]]:
     """``(layout, ranks)`` of all the windows of ``starts``, each laid out
     by :func:`_inorder_ranks` with block size ``b``.  The keys are gathered
-    by one numpy fancy index: over a key set's view ``np.asarray`` makes no
-    copy, and over a plain build's list it is about as fast as indexing the
-    list once per rank."""
+    by one numpy fancy index; over a key set's view ``np.asarray`` makes no
+    copy."""
     st = np.asarray(starts, dtype=np.int64)
     lens = np.diff(st)
     by_len = np.argsort(lens, kind="stable")

@@ -13,9 +13,8 @@ zero space overhead.  They differ only in how they walk it:
 Each walk is a ``search(x, lo, hi)`` over the window ``keys[lo:hi]`` of
 one sorted int sequence, any window at all.  It answers with the global
 rank, in ``[lo, hi]``, and ``(lo, False)`` on an empty window.  An
-instance holds a reference to that sequence and nothing else: the plain
-dictionary its own checked list, a learned model the key set's ``view``
-of its u64 buffer.
+instance holds a reference to that sequence, in a plain build and a model
+alike the key set's ``view`` of its u64 buffer, and nothing else.
 """
 
 from __future__ import annotations
@@ -82,11 +81,16 @@ class InterpolationSearch(_InPlaceSearch):
     def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         keys = self._keys
         hi -= 1  # inclusive from here on
-        while lo <= hi and keys[lo] <= x <= keys[hi]:
-            if lo == hi:
-                return lo, keys[lo] == x
-            # linear probe; the loop guard keeps the estimate inside [lo, hi]
-            pos = lo + int((hi - lo) / (keys[hi] - keys[lo]) * (x - keys[lo]))
+        # Window invariant: x is above every key left of lo and below every
+        # key right of hi.  Each end is read once per step.
+        while lo <= hi:
+            first, last = keys[lo], keys[hi]
+            if x <= first:
+                return lo, x == first
+            if x > last:
+                return hi + 1, False
+            # linear probe; first < x <= last keeps the estimate in [lo, hi]
+            pos = lo + int((hi - lo) / (last - first) * (x - first))
             v = keys[pos]
             if v == x:
                 return pos, True
@@ -94,8 +98,4 @@ class InterpolationSearch(_InPlaceSearch):
                 lo = pos + 1
             else:
                 hi = pos - 1
-        # Window invariant: x is above every key left of lo and below every
-        # key right of hi.
-        if hi < lo or x < keys[lo]:
-            return lo, False
-        return hi + 1, False
+        return lo, False

@@ -17,9 +17,9 @@ is one bisect plus a ``list.insert`` or ``del`` that shifts at most the
 bin's load of slots (one C ``memmove``), and a Fenwick update over
 ``log2 k`` nodes.
 
-A build or rebuild converts the sorted contents to one uint64 array: one
-pass over its gaps gives the exact ratio and the starting gap bounds,
-and the geometry's cumulative rank table over it cuts the bins.
+A build reads the key set's uint64 array, a rebuild one made from the
+chained bins: one pass over its gaps gives the exact ratio and the
+starting gap bounds, and the geometry's rank table over it cuts the bins.
 
 Rebuilds fire when either
 * ``n/2`` effective updates have accumulated since the last rebuild
@@ -176,8 +176,7 @@ class DynamicBinDict:
             keys, duplicates = SortedKeySet.from_unsorted(keys)
             if duplicates:
                 raise InvalidKeySetError(f"keys must be distinct: {duplicates} duplicates")
-        contents = keys.as_list()
-        if len(contents) < 2:
+        if len(keys) < 2:
             raise DictboostError("dynamic build needs at least two initial keys")
         if k < 1:
             raise DictboostError(f"bin count must be >= 1, got {k}")
@@ -185,16 +184,15 @@ class DynamicBinDict:
         self.ledger = RebuildLedger()
         self.total_updates = 0
         self._delta_max = Fraction(0)
-        self._install(contents, 0)
+        self._install(keys.array, 0)
         self.initial_delta_hat = self.delta_hat
 
     # -- state installation ----------------------------------------------------
 
-    def _install(self, contents: list[int], floor: Fraction | int) -> None:
-        """Bin the sorted ``contents`` afresh.  The one gap pass sets the
-        bounds and ``delta_hat = max(exact ratio, floor)``."""
-        n = len(contents)
-        arr = np.array(contents, dtype=np.uint64)
+    def _install(self, arr: np.ndarray, floor: Fraction | int) -> None:
+        """Bin the sorted distinct uint64 ``arr`` afresh.  The one gap pass
+        sets the bounds and ``delta_hat = max(exact ratio, floor)``."""
+        n = int(arr.size)
         if n >= 2:
             gs = gap_stats(arr)
             self._g_min_bound, self._g_max_bound = gs.g_min, gs.g_max
@@ -207,7 +205,7 @@ class DynamicBinDict:
             self._delta_max = delta_hat
         self._size = n
         if n:
-            lo, hi = contents[0], contents[-1]
+            lo, hi = int(arr[0]), int(arr[-1])
             ext = -((-(hi - lo) * delta_hat.numerator) // delta_hat.denominator)  # ceil
             self.range_lo, self.range_hi = lo - ext, hi + ext
         else:
@@ -220,7 +218,7 @@ class DynamicBinDict:
         filled = np.flatnonzero(counts)
         self._bins: list[list[int] | None] = [None] * self.k
         for b, i, j in zip(filled.tolist(), starts[filled].tolist(), starts[filled + 1].tolist()):
-            self._bins[b] = contents[i:j]
+            self._bins[b] = arr[i:j].tolist()
         self._fenwick = _Fenwick(counts)
         self.n_at_rebuild = n
         self.updates_since_rebuild = 0
@@ -239,7 +237,7 @@ class DynamicBinDict:
         if extra is not None:
             insort(contents, extra)
         floor = 2 * self.delta_hat if trigger is RebuildTrigger.DELTA_GROWTH else 0
-        self._install(contents, floor)
+        self._install(np.array(contents, dtype=np.uint64), floor)
         self.ledger.append(RebuildEvent(trigger, len(contents), float(self.delta_hat)))
 
     def _after_update(self) -> None:

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DictboostError, SortedKeySet, sorted_unique
+from .core import DictboostError, SortedKeySet, _u64_array, sorted_unique
 
 HEADER_BYTES = 8
 KEY_DTYPE = np.dtype("<u8")
@@ -56,7 +56,8 @@ class AllTrialsRejectedError(WorkloadError):
 
 
 def save_keys(keys: SortedKeySet | Sequence[int] | np.ndarray, path: str | Path) -> None:
-    arr = keys.array if isinstance(keys, SortedKeySet) else np.asarray(keys, dtype=np.uint64)
+    """Write u64 ``keys`` in any order (the loader sorts and dedups)."""
+    arr = keys.array if isinstance(keys, SortedKeySet) else _u64_array(keys)
     with open(path, "wb") as fh:
         fh.write(np.uint64(arr.size).astype(KEY_DTYPE).tobytes())
         fh.write(arr.astype(KEY_DTYPE).tobytes())

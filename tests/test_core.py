@@ -306,6 +306,15 @@ class TestGapStats:
         assert gs.g_min == gs.g_max == 7
         assert gs.delta == 1.0
 
+    @given(st.lists(st.integers(0, MAX_KEY), min_size=2, max_size=64, unique=True))
+    @settings(max_examples=100, deadline=None)
+    def test_extremes_equal_python_min_and_max_of_the_gaps(self, keys):
+        keys.sort()
+        gaps = [b - a for a, b in zip(keys, keys[1:])]
+        gs = gap_stats(keys)
+        assert (gs.g_min, gs.g_max) == (min(gaps), max(gaps))
+        assert gap_stats(SortedKeySet(keys)) == gs
+
 
 class TestAccessDistribution:
     def test_validates_shapes_and_mass(self):

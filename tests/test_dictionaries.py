@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictboost.core import DictboostError, InvalidKeySetError, SearchOutcome
+from dictboost.binning import build_binning
+from dictboost.core import (
+    DictboostError, InvalidKeySetError, SearchOutcome, SortedKeySet, gap_stats,
+)
 from dictboost.dictionaries import (
     DICTIONARY_IDS,
     BlockTreeSearch,
@@ -23,6 +26,9 @@ from dictboost.dictionaries import (
     make_builder,
     parse_dict_specs,
 )
+from dictboost.dynamic import DynamicBinDict
+from dictboost.segments import build_segments
+from dictboost.workloads import save_keys
 
 from conftest import TEN_KEYS, assert_matches_oracle, interesting_key_sets, mixed_queries
 
@@ -109,18 +115,61 @@ class TestEveryDictionary:
                 builder([])
 
 
+# One table of bad keys for every entry point that takes keys.  Values
+# that are not integers in [0, 2**64) fail everywhere; an unsorted or
+# duplicate sequence fails wherever sorted distinct keys are required.
+NOT_U64_KEYS = [
+    [5, 1, 3, 3, -2, 2**64], [1, 2.5, 3], [1.0, 2.0], [1, "2"], [None], [-1, 3], [1, 2**64],
+    np.array([-1, 3]), np.array([1.5, 2.7]),
+]
+NOT_SORTED_KEYS = [[5, 1, 3], [1, 3, 3], [0, 2**64 - 1, 2**64 - 1]]
+
+# entry point -> (call on keys and a scratch directory, needs sorted keys)
+ENTRY_POINTS = {
+    "SortedKeySet": (lambda keys, tmp: SortedKeySet(keys), True),
+    "build_binning": (lambda keys, tmp: build_binning(keys, 1, "bbs"), True),
+    "build_segments": (lambda keys, tmp: build_segments(keys, 4, "bbs"), True),
+    "gap_stats": (lambda keys, tmp: gap_stats(keys), True),
+    "DynamicBinDict": (lambda keys, tmp: DynamicBinDict(keys, 4), False),
+    "save_keys": (lambda keys, tmp: save_keys(keys, tmp / "keys.u64"), False),
+}
+
+
 @pytest.mark.parametrize("kind", DICTIONARY_IDS)
 def test_plain_build_checks_the_keys(kind):
     """A plain build takes only sorted distinct u64 integers; numpy integers
     count as integers."""
     build = make_builder(kind)[1]
-    for bad in ([5, 1, 3, 3, -2, 2**64], [1, 2.5, 3], [1, "2"], [None], [-1, 3], [1, 2**64],
-                [5, 1, 3], [1, 3, 3], [0, 2**64 - 1, 2**64 - 1]):
+    for bad in NOT_U64_KEYS + NOT_SORTED_KEYS:
         with pytest.raises(InvalidKeySetError):
             build(bad)
     d = build(np.array([0, 7, 2**64 - 1], dtype=np.uint64))
     assert d.rank_search(7) == (1, True)
     assert d.rank_search(2**64 - 1) == (2, True)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_checks_the_keys(entry, tmp_path):
+    call, sorted_only = ENTRY_POINTS[entry]
+    for bad in NOT_U64_KEYS + (NOT_SORTED_KEYS if sorted_only else []):
+        with pytest.raises(InvalidKeySetError):
+            call(bad, tmp_path)
+    call([np.uint64(0), 7, 2**64 - 1], tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["bbs", "bfs", "is", "css"])
+def test_plain_build_reads_the_key_sets_view(kind):
+    """A plain build from a key set searches that key set's buffer through
+    a read-only view; a plain build from a list gets a key set of its own,
+    so changing the list later changes nothing."""
+    keys = SortedKeySet(TEN_KEYS)
+    d = make_builder(kind)[1](keys)
+    assert isinstance(d._keys, memoryview) and d._keys.readonly
+    assert d._keys.obj is keys.array
+    source = list(TEN_KEYS)
+    d = make_builder(kind)[1](source)
+    source[:] = range(len(source))
+    assert_matches_oracle(d, TEN_KEYS, mixed_queries(SortedKeySet(TEN_KEYS), 100, seed=3))
 
 
 @given(

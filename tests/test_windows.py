@@ -200,8 +200,9 @@ def test_every_search_path_returns_a_plain_tuple():
 @pytest.mark.parametrize("kind", DICTIONARY_IDS)
 def test_models_pickle_and_copy(kind):
     """A key set's view cannot be pickled, so a pickled or copied model
-    rebuilds its dictionary over the copied key set; the copies answer
-    every query as the original does and report the same space."""
+    rebuilds its dictionary over the copied key set, and a plain build
+    pickles the key set in place of its view; the copies answer every
+    query as the original does and report the same space."""
     keys = SortedKeySet([0, 3, 9, 20, 21, 40, 77, 1000, MAX_KEY], universe_hint=(0, MAX_KEY))
     copied = pickle.loads(pickle.dumps(keys))
     assert copied == keys and copied.universe_hint == keys.universe_hint
@@ -209,7 +210,9 @@ def test_models_pickle_and_copy(kind):
     queries = _extreme_queries(keys)
     ranks, found = bulk_rank(keys, queries)
     want = list(zip(ranks.tolist(), found.tolist()))
-    for label, d in _models(keys, kind):
+    build = make_builder(kind)[1]
+    plain = [("plain from a list", build(keys.as_list())), ("plain from a key set", build(keys))]
+    for label, d in [*_models(keys, kind), *plain]:
         for c in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
             assert type(c) is type(d) and c.space_bytes() == d.space_bytes(), label
             assert [c.rank_search(x) for x in queries] == want, label

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dictboost.core import SortedKeySet
+from dictboost.core import MAX_KEY, InvalidKeySetError, SortedKeySet
 from dictboost.workloads import (
     AllTrialsRejectedError,
     KeyFileError,
@@ -68,6 +68,17 @@ class TestKeyFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises((KeyFileError, OSError)):
             load_keys(tmp_path / "absent.u64")
+
+    def test_plain_sequence_round_trips_and_bad_keys_are_refused(self, tmp_path):
+        path = tmp_path / "keys.u64"
+        save_keys([MAX_KEY, 0, np.uint64(7), 7], path)
+        loaded = load_keys(path)
+        assert loaded.keys.as_list() == [0, 7, MAX_KEY]
+        assert loaded.duplicates_removed == 1
+        for bad in ([1.7], [-1], [2**64]):
+            with pytest.raises(InvalidKeySetError):
+                save_keys(bad, path)
+            assert load_keys(path).keys.as_list() == [0, 7, MAX_KEY], bad
 
     def test_empty_key_set_round_trips(self, tmp_path):
         path = tmp_path / "none.u64"
