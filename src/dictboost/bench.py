@@ -97,12 +97,12 @@ def measure_ns_per_query(
     search: Callable[[int], object],
     queries: list,
     repeats: int = DEFAULT_REPEATS,
-    warmup: int = DEFAULT_WARMUP,
 ) -> float:
-    """Median-of-``repeats`` nanoseconds per query."""
+    """Median-of-``repeats`` nanoseconds per query, after
+    ``DEFAULT_WARMUP`` untimed passes."""
     _check_timing_args(queries, repeats)
     with _gc_paused():
-        for _ in range(warmup):
+        for _ in range(DEFAULT_WARMUP):
             _one_pass(search, queries)
         samples = [_one_pass(search, queries) for _ in range(repeats)]
     return statistics.median(samples) / len(queries)
@@ -113,16 +113,16 @@ def measure_paired_ns(
     baseline: Callable[[int], object],
     queries: list,
     repeats: int = DEFAULT_REPEATS,
-    warmup: int = DEFAULT_WARMUP,
 ) -> tuple[float, float]:
     """(median-of-``repeats`` ns per query of ``search``, median per-pass
     ratio of its time to ``baseline``'s), the two timed in alternation on
     blocks of ``PAIR_BLOCK`` queries.  Each callable still sees every
-    query, in order, once per pass."""
+    query, in order, once per pass, the ``DEFAULT_WARMUP`` untimed ones
+    included."""
     _check_timing_args(queries, repeats)
     blocks = [queries[i : i + PAIR_BLOCK] for i in range(0, len(queries), PAIR_BLOCK)]
     with _gc_paused():
-        for _ in range(warmup):
+        for _ in range(DEFAULT_WARMUP):
             _paired_pass(search, baseline, blocks)
         passes = [_paired_pass(search, baseline, blocks) for _ in range(repeats)]
     mean = statistics.median(t for t, _ in passes) / len(queries)

@@ -9,9 +9,9 @@ for gen/sample).  Exit codes: 0 success, 2 infeasible or empty results,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,6 @@ import numpy as np
 from . import bench
 from .bench import (
     DEFAULT_PCTS,
-    SCHEMA_VERSION,
     delta_report,
     run_boost_sweep,
     run_epsilon_sweep,
@@ -91,19 +90,16 @@ def _at_least(minimum: int, what: str):
 _seed = _at_least(0, "seed")
 
 
-def _out_stream(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+@dataclass(frozen=True)
+class QueryRow:
+    """One line of the ``queries`` CSV."""
+
+    query: int
+    present: bool
 
 
 def _emit(rows, out_path: str | None) -> None:
-    out, close = _out_stream(out_path)
-    try:
-        write_csv(rows, out)
-    finally:
-        if close:
-            out.close()
+    write_csv(rows, sys.stdout if out_path is None else out_path)
 
 
 def _load(path: str) -> SortedKeySet:
@@ -144,15 +140,7 @@ def cmd_queries(args) -> int:
     if len(wl) == 0:
         print("error: empty workload", file=sys.stderr)
         return 2
-    out, close = _out_stream(args.out)
-    try:
-        w = csv.writer(out)
-        w.writerow(["schema", "query", "present"])
-        for q, present in zip(wl.queries, wl.labels):
-            w.writerow([SCHEMA_VERSION, q, "true" if present else "false"])
-    finally:
-        if close:
-            out.close()
+    _emit([QueryRow(q, bool(present)) for q, present in zip(wl.queries, wl.labels)], args.out)
     print(
         f"{len(wl)} queries, realized hit fraction {wl.realized_hit_fraction:.4f}",
         file=sys.stderr,

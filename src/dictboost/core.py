@@ -327,9 +327,6 @@ class SortedSetDictionary(ABC):
     (the splay tree mutates on reads and needs exclusive access).
     """
 
-    #: registry id, e.g. "bbs"; parameterized kinds override per instance.
-    kind_id: str = "?"
-
     @classmethod
     def build(cls, keys: SortedKeySet | Iterable[int], *args, **kwargs) -> "SortedSetDictionary":
         """The kind over the view of ``keys``, a key set or anything

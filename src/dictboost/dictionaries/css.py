@@ -34,7 +34,6 @@ def _maxima(below: Sequence[int], f: int, lo: int, hi: int) -> list[int]:
 
 
 class CssTreeSearch(SortedSetDictionary):
-    kind_id = "css"
     DEFAULT_FANOUT = 16
 
     def __init__(self, keys: Sequence[int], starts: Sequence[int], fanout: int | None = None):
@@ -43,7 +42,6 @@ class CssTreeSearch(SortedSetDictionary):
             raise DictboostError(f"fanout must be >= 2, got {f}")
         self._keys = keys
         self._fanout = f
-        self.kind_id = f"css:{f}"
         # window start -> its levels, levels[0] = leaf-group maxima, upward
         self._levels: dict[int, list[list[int]]] = {}
         for lo, hi in zip(starts, starts[1:]):

@@ -1,4 +1,5 @@
-"""Implicit-tree array layouts: Eytzinger (BFS order) and blocked multiway.
+"""Implicit-tree array layouts: blocked multiway, and Eytzinger (BFS
+order) as its one-key-block case.
 
 Both store the keys permuted so that a root-to-leaf descent touches
 consecutive memory regions instead of jumping around a sorted array.  The
@@ -7,14 +8,18 @@ array; a parallel rank table maps that position back to the sorted rank
 the normalized protocol requires.  The rank table is honest bookkeeping
 and is reported as space overhead (one extra word per slot).
 
-Both kinds hold one flat ``layout`` list and one flat ``ranks`` list of
-length n for all their windows: window ``[lo, hi)`` of ``layout`` holds
-``keys[lo:hi]`` laid out as one tree, in an order that depends only on the
-window length (and the block size), and ``ranks`` holds their global
-ranks.  The build computes that order once per distinct window length and
-applies it to every window of that length with one numpy fancy index.
-The descent reads the layout in global indices.  (Khuong & Morin, "Array
-Layouts for Comparison-Based Searching", ACM JEA 2017.)
+One private base builds the layout of a ``(b+1)``-ary tree of ``b``-key
+blocks; ``bft`` is that base at its block size and ``bfe`` the base at
+``b = 1``, where the blocked BFS order is the Eytzinger order (Khuong &
+Morin, "Array Layouts for Comparison-Based Searching", ACM JEA 2017).  The
+kinds differ only in their descent.  A build holds one flat ``layout``
+list and one flat ``ranks`` list of length n for all its windows: window
+``[lo, hi)`` of ``layout`` holds ``keys[lo:hi]`` laid out as one tree, in
+an order that depends only on the window length and the block size, and
+``ranks`` holds their global ranks.  The build computes that order once
+per distinct window length and applies it to every window of that length
+with one numpy fancy index.  The descent reads the layout in global
+indices.
 """
 
 from __future__ import annotations
@@ -54,26 +59,57 @@ def _inorder_ranks(m: int, b: int) -> np.ndarray:
     return ranks
 
 
-def _window_layouts(keys: Sequence[int], starts: Sequence[int], b: int) -> tuple[list[int], list[int]]:
-    """``(layout, ranks)`` of all the windows of ``starts``, each laid out
-    by :func:`_inorder_ranks` with block size ``b``.  The keys are gathered
-    by one numpy fancy index; over a key set's view ``np.asarray`` makes no
-    copy."""
-    st = np.asarray(starts, dtype=np.int64)
-    lens = np.diff(st)
-    by_len = np.argsort(lens, kind="stable")
-    cuts = np.flatnonzero(np.diff(lens[by_len])) + 1
-    ranks = np.empty(len(keys), dtype=np.int64)
-    for group in np.split(by_len, cuts):
-        m = int(lens[group[0]])
-        if m:
-            los = st[group][:, None]
-            ranks[los + np.arange(m)] = los + _inorder_ranks(m, b)
-    return np.asarray(keys, dtype=np.uint64)[ranks].tolist(), ranks.tolist()
+class _BlockLayout(SortedSetDictionary):
+    """Keys permuted into an implicit ``(b+1)``-ary tree of ``b``-key
+    blocks per window, with the global rank of each slot beside it: the
+    layout, the rank table and the in-order walk that every block size
+    shares.  A kind adds only its descent."""
+
+    def __init__(self, keys: Sequence[int], starts: Sequence[int], block: int):
+        # each window laid out by _inorder_ranks, computed once per distinct
+        # window length; the keys are gathered by one numpy fancy index, and
+        # over a key set's view np.asarray makes no copy
+        st = np.asarray(starts, dtype=np.int64)
+        lens = np.diff(st)
+        by_len = np.argsort(lens, kind="stable")
+        cuts = np.flatnonzero(np.diff(lens[by_len])) + 1
+        ranks = np.empty(len(keys), dtype=np.int64)
+        for group in np.split(by_len, cuts):
+            m = int(lens[group[0]])
+            if m:
+                los = st[group][:, None]
+                ranks[los + np.arange(m)] = los + _inorder_ranks(m, block)
+        self._block = block
+        self._layout = np.asarray(keys, dtype=np.uint64)[ranks].tolist()
+        self._ranks = ranks.tolist()
+
+    def __len__(self) -> int:
+        return len(self._layout)
+
+    def space_bytes(self) -> int:
+        return 2 * KEY_BYTES * len(self._layout)
+
+    def inorder_positions(self) -> Iterator[int]:
+        """In-order positions of a plain build (testing hook: reading the
+        layout in this order must give the sorted keys)."""
+        b = self._block
+        size = len(self._layout)
+
+        def walk(node: int) -> Iterator[int]:
+            start = node * b
+            if start >= size:
+                return
+            for c in range(min(b, size - start)):
+                yield from walk(node * (b + 1) + c + 1)
+                yield start + c
+            yield from walk(node * (b + 1) + b + 1)
+
+        yield from walk(0)
 
 
-class EytzingerSearch(SortedSetDictionary):
-    """Keys permuted in BFS order of a complete binary tree.
+class EytzingerSearch(_BlockLayout):
+    """Keys permuted in BFS order of a complete binary tree: the block
+    layout at ``b = 1``.
 
     The descent is branch-free-shaped: from 1-based node ``t`` go to ``2t``
     on ``x <= key`` and ``2t+1`` otherwise, until falling off the tree.  The
@@ -82,13 +118,8 @@ class EytzingerSearch(SortedSetDictionary):
     record the left turns taken after the last right turn).
     """
 
-    kind_id = "bfe"
-
     def __init__(self, keys: Sequence[int], starts: Sequence[int]):
-        self._layout, self._ranks = _window_layouts(keys, starts, 1)
-
-    def __len__(self) -> int:
-        return len(self._layout)
+        super().__init__(keys, starts, 1)
 
     def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         layout = self._layout
@@ -103,28 +134,8 @@ class EytzingerSearch(SortedSetDictionary):
             return hi, False
         return self._ranks[base + t], layout[base + t] == x
 
-    def space_bytes(self) -> int:
-        return 2 * KEY_BYTES * len(self._layout)
 
-    def inorder_positions(self) -> Iterator[int]:
-        """Positions visited by an in-order walk of a plain build (testing
-        hook: reading the layout in this order must reproduce the sorted
-        input)."""
-        n = len(self._layout)
-        stack: list[tuple[int, bool]] = [(0, False)]
-        while stack:
-            i, expanded = stack.pop()
-            if i >= n:
-                continue
-            if expanded:
-                yield i
-            else:
-                stack.append((2 * i + 2, False))
-                stack.append((i, True))
-                stack.append((2 * i + 1, False))
-
-
-class BlockTreeSearch(SortedSetDictionary):
+class BlockTreeSearch(_BlockLayout):
     """Keys permuted into an implicit (B+1)-ary tree of B-key blocks.
 
     Each node is B contiguous keys, except that a window's last block holds
@@ -134,19 +145,13 @@ class BlockTreeSearch(SortedSetDictionary):
     candidate successor is refined on the way down.
     """
 
-    kind_id = "bft"
     DEFAULT_BLOCK = 8
 
     def __init__(self, keys: Sequence[int], starts: Sequence[int], block: int | None = None):
         b = self.DEFAULT_BLOCK if block is None else int(block)
         if b < 1:
             raise DictboostError(f"block size must be >= 1, got {b}")
-        self._block = b
-        self._layout, self._ranks = _window_layouts(keys, starts, b)
-        self.kind_id = f"bft:{b}"
-
-    def __len__(self) -> int:
-        return len(self._layout)
+        super().__init__(keys, starts, b)
 
     def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         layout = self._layout
@@ -171,23 +176,3 @@ class BlockTreeSearch(SortedSetDictionary):
         if best < 0:
             return hi, False
         return self._ranks[best], layout[best] == x
-
-    def space_bytes(self) -> int:
-        return 2 * KEY_BYTES * len(self._layout)
-
-    def inorder_positions(self) -> Iterator[int]:
-        """In-order positions of a plain build (testing hook: reading the
-        layout in this order must give the sorted keys)."""
-        b = self._block
-        size = len(self._layout)
-
-        def walk(node: int) -> Iterator[int]:
-            start = node * b
-            if start >= size:
-                return
-            for c in range(min(b, size - start)):
-                yield from walk(node * (b + 1) + c + 1)
-                yield start + c
-            yield from walk(node * (b + 1) + b + 1)
-
-        yield from walk(0)

@@ -39,8 +39,6 @@ class _InPlaceSearch(SortedSetDictionary):
 
 
 class BranchyBinarySearch(_InPlaceSearch):
-    kind_id = "bbs"
-
     def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         keys = self._keys
         while lo < hi:
@@ -59,8 +57,6 @@ class UniformBinarySearch(_InPlaceSearch):
     """Branch-free binary search: every query halves a window exactly
     ceil(log2 n) times, regardless of the key."""
 
-    kind_id = "bfs"
-
     def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         keys = self._keys
         if lo == hi:
@@ -76,8 +72,6 @@ class UniformBinarySearch(_InPlaceSearch):
 
 
 class InterpolationSearch(_InPlaceSearch):
-    kind_id = "is"
-
     def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         keys = self._keys
         hi -= 1  # inclusive from here on

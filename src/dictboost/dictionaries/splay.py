@@ -77,8 +77,6 @@ def _splay(x: _Node) -> None:
 
 
 class SplayTreeDictionary(SortedSetDictionary):
-    kind_id = "splay"
-
     def __init__(self, keys: Sequence[int], starts: Sequence[int]):
         """Balanced trees over the windows, so that each starts at depth
         log of its length; the splay discipline only concerns accesses
@@ -97,11 +95,6 @@ class SplayTreeDictionary(SortedSetDictionary):
 
         self._n = len(keys)
         self._roots = {lo: grow(lo, hi, None) for lo, hi in zip(starts, starts[1:]) if lo < hi}
-
-    @classmethod
-    def build(cls, keys: Sequence[int]) -> "SplayTreeDictionary":
-        """The plain tree; unlike the other kinds it may hold no keys."""
-        return super().build(keys) if len(keys) else cls([], [0, 0])
 
     def __len__(self) -> int:
         return self._n

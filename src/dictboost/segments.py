@@ -5,15 +5,16 @@ of the remaining points admitting one line, anchored exactly at its first
 point, whose floor-rounded prediction stays within ``eps`` ranks of the
 truth for every member:
 
-    | floor(slope * (key - first_key) + intercept) - rank |  <=  eps
+    | floor(slope * (key - first_key)) + start_rank - rank |  <=  eps
 
 The builder keeps the feasible slope interval for the anchored line and
 closes the segment when a new point empties it (the standard one-pass
 greedy; the result is maximal for this policy, not globally minimal).
 Because predictions are evaluated in floating point, the chosen slope is
-re-verified against every member with the exact query-time formula and
-the segment is cut just before the first violation, which makes the eps
-guarantee unconditional rather than subject to rounding luck.
+re-verified against every member with that formula, the one
+``Segment.predict_rank`` and ``max_residual`` evaluate, and the segment is
+cut just before the first violation, which makes the eps guarantee
+unconditional rather than subject to rounding luck.
 
 The fit is one pass, chunked.  A segment's first few dozen candidates are
 taken one at a time in Python, so short segments (small eps) pay no numpy
@@ -46,7 +47,7 @@ import numpy as np
 from .core import DictboostError, SortedKeySet
 from .dictionaries import IntervalModel
 
-PER_SEGMENT_BYTES = 48  # routing key + (first_key, slope, intercept, start, end)
+PER_SEGMENT_BYTES = 48  # pinned header; routing key + (first_key, slope, start, end) take 40
 _SCALAR_HEAD = 32  # candidates per segment grown in Python before numpy takes over
 _FIRST_CHUNK = 256  # first numpy chunk; each next one is twice as long
 _EXACT_SPAN = 2**53  # every integer up to it is exact in a float64
@@ -56,12 +57,12 @@ _EXACT_SPAN = 2**53  # every integer up to it is exact in a float64
 class Segment:
     first_key: int
     slope: float
-    intercept: float  # predicted rank at x == first_key
-    start_rank: int
+    start_rank: int  # the rank predicted at x == first_key
     end_rank: int  # exclusive
 
     def predict_rank(self, x: int) -> int:
-        return math.floor(self.slope * (x - self.first_key) + self.intercept)
+        """The formula ``_fit_segments`` verified for every member."""
+        return math.floor(self.slope * (x - self.first_key)) + self.start_rank
 
     def __len__(self) -> int:
         return self.end_rank - self.start_rank
@@ -125,7 +126,7 @@ def _fit_segments(ks: SortedKeySet | Sequence[int] | np.ndarray, eps: int) -> li
             if abs(math.floor(slope * (keys[v] - x0)) + i - v) > eps:
                 end = v
                 break
-        segs.append(Segment(x0, slope, float(i), i, end))
+        segs.append(Segment(x0, slope, i, end))
         i = end
     return segs
 
@@ -225,9 +226,9 @@ class SegmentedDictionary(IntervalModel):
         lens = np.diff(self._starts)
         first = np.repeat(np.array(self._firsts, dtype=np.uint64), lens)
         slope = np.repeat([s.slope for s in self.segments], lens)
-        intercept = np.repeat([s.intercept for s in self.segments], lens)
-        pred = np.floor(slope * (self.keys.array - first).astype(np.float64) + intercept)
-        return int(np.abs(pred - np.arange(self._n)).max())
+        offset = np.arange(self._n) - np.repeat(self._starts[:-1], lens)
+        pred = np.floor(slope * (self.keys.array - first).astype(np.float64))
+        return int(np.abs(pred - offset).max())
 
 
 build_segments = SegmentedDictionary.build

@@ -159,8 +159,6 @@ class QueryWorkload:
 
     queries: list
     labels: np.ndarray
-    hit_fraction: float
-    seed: int
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -217,12 +215,7 @@ def gen_queries(
     actual = (pos < arr.size) & (arr[np.minimum(pos, arr.size - 1)] == values)
     if not np.array_equal(actual, labels):
         raise AssertionError("query labels disagree with membership")
-    return QueryWorkload(
-        queries=[int(v) for v in values],
-        labels=labels,
-        hit_fraction=hit_fraction,
-        seed=seed,
-    )
+    return QueryWorkload(queries=[int(v) for v in values], labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def test_criterion_05_epsilon_guarantee(capsys):
             counts.append(d.segment_count)
             for seg in d.segments:
                 xs = arr[seg.start_rank:seg.end_rank]
-                pred = np.floor(seg.slope * (xs - float(seg.first_key)) + seg.intercept)
+                pred = np.floor(seg.slope * (xs - float(seg.first_key))) + seg.start_rank
                 true = np.arange(seg.start_rank, seg.end_rank, dtype=np.float64)
                 worst = float(np.abs(pred - true).max())
                 assert worst <= eps, f"{name} eps={eps}: residual {worst}"

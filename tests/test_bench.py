@@ -52,7 +52,7 @@ class TestMeasurement:
         def probe(x):
             d["hits"] += 1
 
-        ns = measure_ns_per_query(probe, list(range(100)), repeats=3, warmup=1)
+        ns = measure_ns_per_query(probe, list(range(100)), repeats=3)
         assert ns > 0
         assert d["hits"] == 400  # 1 warmup + 3 passes
 
@@ -68,7 +68,7 @@ class TestMeasurement:
         calls = []
         mean, ratio = measure_paired_ns(
             lambda x: calls.append(("s", x)), lambda x: calls.append(("b", x)),
-            queries, repeats=3, warmup=1,
+            queries, repeats=3,
         )
         assert mean > 0 and ratio > 0
         one_pass = []
@@ -195,7 +195,7 @@ class TestSpaceSelection:
 
         timed = []
 
-        def spy(search, queries, repeats=1, warmup=1):
+        def spy(search, queries, repeats=1):
             timed.append(search)
             return 1.0
 

@@ -72,6 +72,15 @@ class TestQueries:
         assert set(rows[0]) == {"schema", "query", "present"}
         assert {r["present"] for r in rows} == {"true", "false"}
 
+    def test_csv_bytes_are_pinned(self, keyfile, tmp_path):
+        out = tmp_path / "q.csv"
+        assert main(["queries", "--dataset", str(keyfile), "--m", "6",
+                     "--hit-fraction", "0.5", "--seed", "7", "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"schema,query,present\r\n2,940443,false\r\n2,668106,true\r\n"
+            b"2,608326,false\r\n2,995776,true\r\n2,732618,true\r\n2,813886,false\r\n"
+        )
+
     def test_stdout_when_no_out(self, keyfile, capsys):
         assert main(["queries", "--dataset", str(keyfile), "--m", "5"]) == 0
         captured = capsys.readouterr()

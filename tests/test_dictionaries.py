@@ -45,8 +45,7 @@ class TestRegistry:
         assert make_builder("BFT")[0] == "bft:8"  # case-insensitive, default block
         assert make_builder("bft:4")[0] == "bft:4"
         assert make_builder("css")[0] == "css:16"
-        built = make_builder("css:5")[1]([1, 2, 3])
-        assert built.kind_id == "css:5"
+        assert make_builder("css:5")[1]([1, 2, 3])._fanout == 5
 
     def test_unknown_kind_lists_the_valid_ids(self):
         with pytest.raises(DictboostError) as exc:
@@ -107,12 +106,9 @@ class TestEveryDictionary:
         assert d.space_bytes() >= 0
 
     def test_refuses_empty_build_except_splay(self, spec):
-        builder = make_builder(spec)[1]
-        if spec == "splay":
-            assert len(builder([])) == 0
-        else:
-            with pytest.raises(InvalidKeySetError):
-                builder([])
+        """Every kind, splay included, refuses zero keys."""
+        with pytest.raises(InvalidKeySetError):
+            make_builder(spec)[1]([])
 
 
 # One table of bad keys for every entry point that takes keys.  Values
@@ -233,6 +229,14 @@ class TestEytzinger:
             keys = list(range(10, 10 + 3 * n, 3))
             d = EytzingerSearch.build(keys)
             assert [d._layout[i] for i in d.inorder_positions()] == keys
+
+    def test_is_the_block_tree_at_block_one(self):
+        for n in range(1, 71):
+            keys = list(range(3, 3 + 7 * n, 7))
+            e, b = EytzingerSearch.build(keys), BlockTreeSearch.build(keys, block=1)
+            assert e._layout == b._layout, f"n={n}"
+            assert e._ranks == b._ranks, f"n={n}"
+            assert list(e.inorder_positions()) == list(b.inorder_positions()), f"n={n}"
 
     def test_rank_table_is_the_overhead(self):
         d = EytzingerSearch.build(TEN_KEYS)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from dictboost import segments
 from dictboost.core import MAX_KEY, DictboostError, SearchOutcome, SortedKeySet
 from dictboost.segments import Segment, SegmentedDictionary, _fit_segments, build_segments
+from dictboost.workloads import gen_uniform
 
 from conftest import TEN_KEYS, assert_matches_oracle, bulk_rank, mixed_queries
 
@@ -52,7 +53,7 @@ def reference_fit(ks: list[int], eps: int) -> list[Segment]:
             if abs(math.floor(slope * (ks[v] - x0)) + i - v) > eps:
                 end = v
                 break
-        segs.append(Segment(x0, slope, float(i), i, end))
+        segs.append(Segment(x0, slope, i, end))
         i = end
     return segs
 
@@ -60,7 +61,7 @@ def reference_fit(ks: list[int], eps: int) -> list[Segment]:
 def bits(segs: list[Segment]) -> list[tuple]:
     """Segments with the slope as its exact bit pattern (``==`` alone
     would let 0.0 and -0.0 pass for each other)."""
-    return [(s.first_key, s.slope.hex(), s.intercept, s.start_rank, s.end_rank) for s in segs]
+    return [(s.first_key, s.slope.hex(), s.start_rank, s.end_rank) for s in segs]
 
 
 def u64_extreme_keys(seed: int) -> np.ndarray:
@@ -110,6 +111,19 @@ class TestEpsilonGuarantee:
             d = build_segments(SortedKeySet(raw), eps)
             assert max(residuals(d)) <= eps
             assert d.max_residual() == max(residuals(d))
+
+    def test_prediction_is_the_verified_formula(self):
+        """``predict_rank`` evaluates, key for key, the formula the fit
+        verified: floor(slope * (key - first_key)) + start_rank."""
+        keys = gen_uniform(2000, 2**44, seed=0)
+        for eps in [1, 4]:
+            d = build_segments(keys, eps)
+            for seg in d.segments:
+                for j in range(seg.start_rank, seg.end_rank):
+                    x = keys[j]
+                    want = math.floor(seg.slope * (x - seg.first_key)) + seg.start_rank
+                    assert seg.predict_rank(x) == d.predict_rank(x) == want, f"eps={eps} j={j}"
+            assert d.max_residual() == max(residuals(d)) <= eps
 
     def test_eps_zero_predicts_exact_ranks(self):
         d = build_segments(SortedKeySet(TEN_KEYS), 0)
