@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 from .binning import build_binning, pct_to_k
 from .core import KEY_BYTES, AccessDistribution, DictboostError, SortedKeySet, gap_stats
-from .dictionaries import DictionaryBuilder, parse_dict_specs
+from .dictionaries import parse_dict_specs
 from .forest import ForestSweep, optimize_over_k
 from .segments import build_segments
 from .workloads import QueryWorkload
@@ -129,10 +129,6 @@ def measure_paired_ns(
     return mean, statistics.median(t / max(base, 1) for t, base in passes)
 
 
-def _queries_of(workload) -> list:
-    return list(workload.queries) if isinstance(workload, QueryWorkload) else list(workload)
-
-
 # ---------------------------------------------------------------------------
 # rows
 
@@ -227,12 +223,6 @@ def write_csv(rows: Sequence, out) -> None:
 # sweep drivers
 
 
-def _specs(dict_specs) -> list[tuple[str, DictionaryBuilder]]:
-    if isinstance(dict_specs, str):
-        return parse_dict_specs(dict_specs)
-    return list(dict_specs)
-
-
 # family -> build(keys, param, spec)
 _MODELS = {"binning": build_binning, "segments": build_segments}
 
@@ -252,11 +242,11 @@ def _sweep(keys, workload, dict_specs, family, params, repeats, dataset_id) -> l
     """Per dictionary: the plain baseline, then ``family`` at each param.
     The prediction time is capped at the mean so that the decomposition
     prediction + final == mean holds."""
-    queries = _queries_of(workload)
+    queries = workload.queries
     n = len(keys)
     lo, hi = keys.lo, keys.hi
     records: list[BenchRecord] = []
-    for dict_id, builder in _specs(dict_specs):
+    for dict_id, builder in parse_dict_specs(dict_specs):
         plain = builder(keys)
         plain_mean = measure_ns_per_query(plain.rank_search, queries, repeats)
         sensitive = dict_id == "splay"
@@ -284,8 +274,8 @@ def _sweep(keys, workload, dict_specs, family, params, repeats, dataset_id) -> l
 
 def run_boost_sweep(
     keys: SortedKeySet,
-    workload,
-    dict_specs,
+    workload: QueryWorkload,
+    dict_specs: str,
     pcts: Sequence[float] = DEFAULT_PCTS,
     repeats: int = DEFAULT_REPEATS,
     dataset_id: str = "dataset",
@@ -304,8 +294,8 @@ def default_epsilons(n: int) -> list[int]:
 
 def run_epsilon_sweep(
     keys: SortedKeySet,
-    workload,
-    dict_specs,
+    workload: QueryWorkload,
+    dict_specs: str,
     epsilons: Sequence[int] | None = None,
     repeats: int = DEFAULT_REPEATS,
     dataset_id: str = "dataset",
@@ -354,8 +344,8 @@ def default_space_eps_grid(n: int) -> list[int]:
 
 def run_space_selection(
     keys: SortedKeySet,
-    workload,
-    dict_specs,
+    workload: QueryWorkload,
+    dict_specs: str,
     bounds_pct: Sequence[float],
     k_grid: Sequence[int] | None = None,
     eps_grid: Sequence[int] | None = None,
@@ -364,14 +354,14 @@ def run_space_selection(
 ) -> list[SpaceRow]:
     """Measure the configuration grids once, then report the fastest
     configuration under each space bound, per model family."""
-    queries = _queries_of(workload)
+    queries = workload.queries
     n = len(keys)
     ks = sorted(set(k_grid if k_grid is not None else default_space_k_grid(n)))
     eps_list = sorted(set(eps_grid if eps_grid is not None else default_space_eps_grid(n)))
     grids = {"binning": [k for k in ks if 1 <= k <= n], "segments": eps_list}
     # (family, dict_id, param, intervals, overhead_pct, mean_ns)
     measured: list[tuple[str, str, float, int, float, float]] = []
-    for dict_id, _ in _specs(dict_specs):
+    for dict_id, _ in parse_dict_specs(dict_specs):
         for family, params in grids.items():
             for param in params:
                 d = _MODELS[family](keys, param, dict_id)

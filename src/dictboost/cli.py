@@ -27,7 +27,6 @@ from .bench import (
     write_csv,
 )
 from .core import AccessDistribution, DictboostError, SortedKeySet
-from .forest import EXACT_MODE_MAX_N
 from .streams import gen_adversarial_stream, gen_uniform_stream, replay_stream
 from .workloads import (
     AllTrialsRejectedError,
@@ -246,13 +245,7 @@ def _forest_distribution(n: int, shape: str, zipf_s: float, hit_mass: float) -> 
 
 def cmd_forest(args) -> int:
     keys = _load(args.dataset)
-    n = len(keys)
-    if args.mode == "exact" and n > EXACT_MODE_MAX_N:
-        raise DictboostError(
-            f"exact mode is quadratic and capped at n = {EXACT_MODE_MAX_N} "
-            f"(dataset has {n}); rerun with --mode approx"
-        )
-    dist = _forest_distribution(n, args.dist, args.zipf_s, args.hit_mass)
+    dist = _forest_distribution(len(keys), args.dist, args.zipf_s, args.hit_mass)
     sweep, rows = run_forest_sweep(
         keys, dist, args.k_max, args.mode, dataset_id=_dataset_id(args.dataset)
     )

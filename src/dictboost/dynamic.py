@@ -196,7 +196,7 @@ class DynamicBinDict:
         if n >= 2:
             gs = gap_stats(arr)
             self._g_min_bound, self._g_max_bound = gs.g_min, gs.g_max
-            exact = Fraction(gs.g_max, gs.g_min)
+            exact = gs.delta_exact
         else:
             self._g_min_bound, self._g_max_bound = _NO_GAP_MIN, _NO_GAP_MAX
             exact = Fraction(1)

@@ -18,7 +18,9 @@ depth d costs d+1, a failure leaf at depth d costs d.  ``optimal_bst`` is
 the classic O(n^2) dynamic program sped up by root monotonicity
 (root(i, j-1) <= root(i, j) <= root(i+1, j)); ``approx_bst`` picks
 weight-balancing roots by binary search on prefix sums in O(n log n) and
-is bounded by the same entropy+2 yardstick in practice.  Minimizing
+is bounded by the same entropy+2 yardstick in practice.  The two differ
+only in how they pick the root of keys i..j; both hand that choice to one
+tree walk, which records the depths and sums the cost.  Minimizing
 cost(k) over k never loses to the single-tree case, whose optimal cost is
 within entropy(P,Q)+1, so the optimized forest sits within entropy+2.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -72,6 +75,29 @@ def _prefix(p: list[float], q: list[float]) -> list[float]:
     return pref
 
 
+def _plan(p: list[float], q: list[float], root_of: Callable[[int, int], int]) -> BstPlan:
+    """Walk the tree whose root over 1-based keys ``i..j`` is
+    ``root_of(i, j)``: record each key's and failure leaf's depth and sum
+    the cost on the way."""
+    n = len(p)
+    key_depths = [0] * n
+    leaf_depths = [0] * (n + 1)
+    cost = 0.0
+    stack = [(1, n, 0)]
+    while stack:
+        i, j, d = stack.pop()
+        if i > j:
+            leaf_depths[i - 1] = d
+            cost += q[i - 1] * d
+            continue
+        r = root_of(i, j)
+        key_depths[r - 1] = d
+        cost += p[r - 1] * (d + 1)
+        stack.append((i, r - 1, d + 1))
+        stack.append((r + 1, j, d + 1))
+    return BstPlan(cost, tuple(key_depths), tuple(leaf_depths), key_depths.index(0))
+
+
 def optimal_bst(p, q) -> BstPlan:
     """Minimum expected-cost BST for hit weights ``p`` and miss weights ``q``
     (absolute weights are fine; costs scale linearly)."""
@@ -80,7 +106,10 @@ def optimal_bst(p, q) -> BstPlan:
     if n == 0:
         return BstPlan(0.0, (), (0,), None)
     if n > EXACT_MODE_MAX_N:
-        raise DictboostError(f"exact mode capped at n={EXACT_MODE_MAX_N}, got {n}")
+        raise DictboostError(
+            f"exact mode is quadratic and capped at n = {EXACT_MODE_MAX_N} "
+            f"(got {n}); use mode approx"
+        )
     pref = _prefix(p, q)
     cost = [array("d", [0.0]) * (n + 1) for _ in range(n + 2)]
     root = [array("l", [0]) * (n + 1) for _ in range(n + 2)]
@@ -102,25 +131,7 @@ def optimal_bst(p, q) -> BstPlan:
                     best_r = r
             cost[i][j] = best + (pref[j] - pref[i - 1] + q[i - 1])
             root[i][j] = best_r
-
-    key_depths = [0] * n
-    leaf_depths = [0] * (n + 1)
-    stack = [(1, n, 0)]
-    while stack:
-        i, j, d = stack.pop()
-        if i > j:
-            leaf_depths[i - 1] = d
-            continue
-        r = root[i][j]
-        key_depths[r - 1] = d
-        stack.append((i, r - 1, d + 1))
-        stack.append((r + 1, j, d + 1))
-    return BstPlan(
-        cost=float(cost[1][n]),
-        key_depths=tuple(key_depths),
-        leaf_depths=tuple(leaf_depths),
-        root=root[1][n] - 1,
-    )
+    return _plan(p, q, lambda i, j: root[i][j])
 
 
 def approx_bst(p, q) -> BstPlan:
@@ -132,55 +143,36 @@ def approx_bst(p, q) -> BstPlan:
     if n == 0:
         return BstPlan(0.0, (), (0,), None)
     pref = _prefix(p, q)
-    key_depths = [0] * n
-    leaf_depths = [0] * (n + 1)
-    top_root: int | None = None
-    cost = 0.0
-    stack = [(1, n, 0)]
-    while stack:
-        i, j, d = stack.pop()
-        if i > j:
-            leaf_depths[i - 1] = d
-            cost += q[i - 1] * d
-            continue
-        if i == j:
-            r = i
-        elif pref[j] - pref[i - 1] + q[i - 1] <= 0.0:
-            r = (i + j) // 2
-        else:
-            # f(r) = mass(left of r) - mass(right of r), nondecreasing in r
-            def f(r: int) -> float:
-                left = pref[r - 1] - pref[i - 1] + q[i - 1]
-                right = pref[j] - pref[r] + q[r]
-                return left - right
 
-            lo, hi = i, j
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if f(mid) < 0.0:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            r = lo
-            if r > i and abs(f(r - 1)) <= abs(f(r)):
-                r -= 1
-        if d == 0:
-            top_root = r - 1
-        key_depths[r - 1] = d
-        cost += p[r - 1] * (d + 1)
-        stack.append((i, r - 1, d + 1))
-        stack.append((r + 1, j, d + 1))
-    return BstPlan(
-        cost=cost,
-        key_depths=tuple(key_depths),
-        leaf_depths=tuple(leaf_depths),
-        root=top_root,
-    )
+    def root_of(i: int, j: int) -> int:
+        if i == j:
+            return i
+        if pref[j] - pref[i - 1] + q[i - 1] <= 0.0:
+            return (i + j) // 2
+
+        # f(r) = mass(left of r) - mass(right of r), nondecreasing in r
+        def f(r: int) -> float:
+            left = pref[r - 1] - pref[i - 1] + q[i - 1]
+            right = pref[j] - pref[r] + q[r]
+            return left - right
+
+        lo, hi = i, j
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if f(mid) < 0.0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo > i and abs(f(lo - 1)) <= abs(f(lo)):
+            return lo - 1
+        return lo
+
+    return _plan(p, q, root_of)
 
 
 def plan_cost_from_depths(plan: BstPlan, p, q) -> float:
     """Recompute a plan's expected cost straight from its depth vectors
-    (consistency oracle for the DP's cost bookkeeping)."""
+    (consistency oracle for the walk's cost bookkeeping)."""
     total = sum(w * (d + 1) for w, d in zip(p, plan.key_depths))
     total += sum(w * d for w, d in zip(q, plan.leaf_depths))
     return float(total)
@@ -238,9 +230,7 @@ def bin_weights(keys: SortedKeySet, k: int, dist: AccessDistribution) -> BinAcce
 @dataclass(frozen=True)
 class ForestPlan:
     k: int
-    mode: str
     total_cost: float
-    weights: list
     plans: list
 
 
@@ -258,13 +248,7 @@ def build_forest(
     solver = optimal_bst if mode == "exact" else approx_bst
     bw = bin_weights(keys, k, dist)
     plans = [solver(bw.p_parts[b], bw.q_parts[b]) for b in range(k)]
-    return ForestPlan(
-        k=k,
-        mode=mode,
-        total_cost=forest_cost(bw.weights, plans),
-        weights=bw.weights,
-        plans=plans,
-    )
+    return ForestPlan(k=k, total_cost=forest_cost(bw.weights, plans), plans=plans)
 
 
 @dataclass(frozen=True)

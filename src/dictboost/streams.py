@@ -35,7 +35,6 @@ class StreamDivergenceError(DictboostError):
 @dataclass(frozen=True)
 class UpdateStream:
     ops: tuple
-    seed: int
     generator: str  # uniform | adversarial
 
     def __len__(self) -> int:
@@ -82,7 +81,7 @@ def gen_uniform_stream(
             ops.append((OP_INSERT, key))
         else:
             ops.append((OP_SEARCH, key))
-    return UpdateStream(ops=tuple(ops), seed=seed, generator="uniform")
+    return UpdateStream(ops=tuple(ops), generator="uniform")
 
 
 def gen_adversarial_stream(
@@ -114,7 +113,7 @@ def gen_adversarial_stream(
             if gap[0] > 1:
                 heappush(open_gaps, gap)
         ops.append((OP_INSERT, key))
-    return UpdateStream(ops=tuple(ops), seed=seed, generator="adversarial")
+    return UpdateStream(ops=tuple(ops), generator="adversarial")
 
 
 @dataclass

@@ -271,18 +271,22 @@ class SubsampleReport:
         return self.accepted / self.trials if self.trials else 0.0
 
 
+SUBSAMPLE_ALPHA = 0.05  # familywise KS screening level of subsample_matching_cdf
+
+
 def subsample_matching_cdf(
-    keys: SortedKeySet, target_n: int, trials: int, seed: int, alpha: float = 0.05
+    keys: SortedKeySet, target_n: int, trials: int, seed: int
 ) -> tuple[SortedKeySet, SubsampleReport]:
     """Draw ``trials`` uniform subsamples of size ``target_n``, keep those
     the KS test cannot distinguish from the source, and return the accepted
     one with the smallest histogram-KL divergence.
 
-    ``alpha`` is the familywise screening level: each trial is tested at
-    alpha/trials (Bonferroni), so the expected number of honest subsamples
-    rejected across the whole batch stays below alpha.  A flat per-trial
-    0.05 would throw away ~5% of perfectly good subsamples, which is noise,
-    not signal, when the candidates are literal subsets of the source.
+    ``SUBSAMPLE_ALPHA`` is the familywise screening level: each trial is
+    tested at SUBSAMPLE_ALPHA/trials (Bonferroni), so the expected number
+    of honest subsamples rejected across the whole batch stays below it.
+    A flat per-trial 0.05 would throw away ~5% of perfectly good
+    subsamples, which is noise, not signal, when the candidates are
+    literal subsets of the source.
     """
     n = len(keys)
     if not 1 <= target_n <= n:
@@ -290,7 +294,7 @@ def subsample_matching_cdf(
     if trials < 1:
         raise WorkloadError(f"need trials >= 1, got {trials}")
     source = keys.array
-    crit = ks_critical(target_n, n, alpha / trials)
+    crit = ks_critical(target_n, n, SUBSAMPLE_ALPHA / trials)
     bins = math.ceil(math.sqrt(n))
     source_pdf = estimate_pdf(source, bins, keys.lo, keys.hi)
     children = np.random.SeedSequence(seed).spawn(trials)

@@ -192,7 +192,7 @@ class TestSample:
         assert set(sample.as_list()) <= source
 
     def test_all_rejected_exits_2(self, keyfile, tmp_path, capsys, monkeypatch):
-        def doomed(keys, target_n, trials, seed, alpha=0.05):
+        def doomed(keys, target_n, trials, seed):
             raise AllTrialsRejectedError("0 of 5 trials accepted", 1.0, 0.2)
 
         monkeypatch.setattr("dictboost.cli.subsample_matching_cdf", doomed)

@@ -104,11 +104,20 @@ class TestOptimalBst:
         assert double.cost == pytest.approx(2 * single.cost)
 
     def test_empty_and_invalid_inputs(self):
-        assert optimal_bst([], [1.0]).cost == 0.0
-        with pytest.raises(DictboostError):
-            optimal_bst([0.5], [0.5])  # wrong q length
-        with pytest.raises(DictboostError):
-            optimal_bst([-0.1], [0.5, 0.6])
+        for planner in (optimal_bst, approx_bst):
+            assert planner([], [1.0]) == BstPlan(0.0, (), (0,), None)
+            with pytest.raises(DictboostError):
+                planner([0.5], [0.5])  # wrong q length
+            with pytest.raises(DictboostError):
+                planner([-0.1], [0.5, 0.6])
+            with pytest.raises(DictboostError):
+                planner([0.1], [0.5, -0.6])
+
+    def test_size_cap_names_approx(self):
+        n = forest.EXACT_MODE_MAX_N + 1
+        with pytest.raises(DictboostError, match="approx") as err:
+            optimal_bst([1.0] * n, [0.0] * (n + 1))
+        assert str(n) in str(err.value)
 
 
 class TestApproxBst:
@@ -137,6 +146,24 @@ class TestApproxBst:
         p, q = random_weights(rng, n)
         plan = approx_bst(p, q)
         assert max(plan.key_depths) <= 4 * math.log2(n)
+
+
+@pytest.mark.parametrize("planner", [optimal_bst, approx_bst], ids=["exact", "approx"])
+def test_depths_form_one_tree(planner):
+    """A failure leaf hangs below the deeper of its two neighbouring keys,
+    so its depth is one more than theirs (-1 past either end); exactly one
+    key sits at depth 0, and it is the root."""
+    rng = np.random.default_rng(17)
+    for trial in range(150):
+        n = int(rng.integers(1, 40))
+        w = rng.random(2 * n + 1) * (rng.random(2 * n + 1) < 0.6)  # zero atoms
+        p, q = w[:n].tolist(), w[n:].tolist()
+        plan = planner(p, q)
+        kd = [-1, *plan.key_depths, -1]
+        want = tuple(1 + max(kd[i], kd[i + 1]) for i in range(n + 1))
+        assert plan.leaf_depths == want, f"n={n} trial={trial}"
+        assert plan.key_depths.count(0) == 1
+        assert plan.key_depths[plan.root] == 0
 
 
 class TestEntropyBound:

@@ -30,7 +30,7 @@ from conftest import TEN_KEYS
 
 
 def manual_stream(ops):
-    return UpdateStream(ops=tuple(ops), seed=0, generator="manual")
+    return UpdateStream(ops=tuple(ops), generator="manual")
 
 
 def reference_adversarial_stream(initial, n_ops, seed=0):
