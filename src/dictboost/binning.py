@@ -25,6 +25,8 @@ fits), never floats.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 from .core import DictboostError, SortedKeySet
@@ -49,7 +51,13 @@ class BinGeometry:
         """1-based bin of ``x``, for ``lo <= x <= hi``:
         ``ceil((x - lo) * k / span)`` with the result 0 (only ``x == lo``)
         clamped to 1.  A one-key range (span 0) is all bin 1.  Below ``lo``
-        the result is at most 1, above ``hi`` more than ``k``."""
+        the result is at most 1, above ``hi`` more than ``k``.  A numpy
+        integer ``x`` is taken as a Python int first, so that the product
+        neither wraps nor overflows a fixed width."""
+        try:
+            x = index(x)
+        except TypeError:
+            raise DictboostError(f"query {x!r} is not an integer") from None
         span = self.span or 1
         b = ((x - self.lo) * self.k + span - 1) // span
         return b or 1

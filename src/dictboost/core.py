@@ -323,9 +323,16 @@ class SortedSetDictionary(ABC):
     as a plain ``(rank, found)`` tuple.  ``build(keys)`` is the plain
     dictionary, the kind over the single window ``[0, n)`` of the key
     set's view, and ``rank_search(x)`` is its search over it.
+
+    This base holds the keys and gives ``len``, ``rank_search`` and the
+    space sum; a kind defines its constructor, which calls this one, its
+    ``search`` and, if it holds more than the keys, ``overhead_bytes``.
     Instances are safe for concurrent readers unless documented otherwise
     (the splay tree mutates on reads and needs exclusive access).
     """
+
+    def __init__(self, keys: Sequence[int], starts: Sequence[int]):
+        self._keys = keys
 
     @classmethod
     def build(cls, keys: SortedKeySet | Iterable[int], *args, **kwargs) -> "SortedSetDictionary":
@@ -357,16 +364,15 @@ class SortedSetDictionary(ABC):
         for an empty window."""
 
     def rank_search(self, x: int) -> tuple[int, bool]:
-        return self.search(x, 0, len(self))
+        return self.search(x, 0, len(self._keys))
 
-    @abstractmethod
     def __len__(self) -> int:
-        ...
-
-    @abstractmethod
-    def space_bytes(self) -> int:
-        """Total bytes of the arrays/nodes this structure holds."""
+        return len(self._keys)
 
     def overhead_bytes(self) -> int:
-        """Bytes beyond one flat 8-byte-per-key array of the same keys."""
-        return max(0, self.space_bytes() - KEY_BYTES * len(self))
+        """Bytes held beyond one flat 8-byte-per-key array of the same keys."""
+        return 0
+
+    def space_bytes(self) -> int:
+        """Total bytes of the arrays/nodes this structure holds."""
+        return KEY_BYTES * len(self._keys) + self.overhead_bytes()

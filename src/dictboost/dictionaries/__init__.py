@@ -19,10 +19,15 @@ epsilon segments) share: a model cuts the sorted keys into intervals and
 names the interval of a query; one instance of the dictionary kind, built
 over all the intervals as windows of the key set's ``view`` (a read-only
 ``memoryview`` of its u64 buffer), answers on that window.  A plain build
-is the kind over the single window of the same view.  The in-place kinds
-(``bbs``, ``bfs``, ``is``) hold the view itself, ``bfe`` and ``bft`` one
-flat layout and rank list, ``css`` the separator levels of the windows
-longer than its fanout, and ``splay`` one tree per window.
+is the kind over the single window of the same view.
+
+A kind subclasses :class:`~dictboost.core.SortedSetDictionary`, which
+holds the keys and gives ``len``, ``rank_search`` and ``space_bytes``; the
+kind defines its constructor, its ``search`` and, if it holds more than
+the keys, ``overhead_bytes``.  The in-place kinds (``bbs``, ``bfs``,
+``is``) hold the view only and define just their search; ``bfe`` and
+``bft`` add one flat layout and rank list, ``css`` the separator levels
+of the windows longer than its fanout, and ``splay`` one tree per window.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ class CssTreeSearch(SortedSetDictionary):
         f = self.DEFAULT_FANOUT if fanout is None else int(fanout)
         if f < 2:
             raise DictboostError(f"fanout must be >= 2, got {f}")
-        self._keys = keys
+        super().__init__(keys, starts)
         self._fanout = f
         # window start -> its levels, levels[0] = leaf-group maxima, upward
         self._levels: dict[int, list[list[int]]] = {}
@@ -50,9 +50,6 @@ class CssTreeSearch(SortedSetDictionary):
                 while len(levels[-1]) > f:
                     levels.append(_maxima(levels[-1], f, 0, len(levels[-1])))
                 self._levels[lo] = levels
-
-    def __len__(self) -> int:
-        return len(self._keys)
 
     def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         f = self._fanout
@@ -77,6 +74,5 @@ class CssTreeSearch(SortedSetDictionary):
                 return r, v == x
         return hi, False
 
-    def space_bytes(self) -> int:
-        inner = sum(len(lv) for levels in self._levels.values() for lv in levels)
-        return KEY_BYTES * (len(self._keys) + inner)
+    def overhead_bytes(self) -> int:
+        return KEY_BYTES * sum(len(lv) for levels in self._levels.values() for lv in levels)

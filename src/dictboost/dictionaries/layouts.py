@@ -66,6 +66,7 @@ class _BlockLayout(SortedSetDictionary):
     shares.  A kind adds only its descent."""
 
     def __init__(self, keys: Sequence[int], starts: Sequence[int], block: int):
+        super().__init__(keys, starts)
         # each window laid out by _inorder_ranks, computed once per distinct
         # window length; the keys are gathered by one numpy fancy index, and
         # over a key set's view np.asarray makes no copy
@@ -83,11 +84,8 @@ class _BlockLayout(SortedSetDictionary):
         self._layout = np.asarray(keys, dtype=np.uint64)[ranks].tolist()
         self._ranks = ranks.tolist()
 
-    def __len__(self) -> int:
-        return len(self._layout)
-
-    def space_bytes(self) -> int:
-        return 2 * KEY_BYTES * len(self._layout)
+    def overhead_bytes(self) -> int:
+        return KEY_BYTES * len(self._ranks)  # the rank table
 
     def inorder_positions(self) -> Iterator[int]:
         """In-order positions of a plain build (testing hook: reading the

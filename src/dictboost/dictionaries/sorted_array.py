@@ -12,33 +12,18 @@ zero space overhead.  They differ only in how they walk it:
 
 Each walk is a ``search(x, lo, hi)`` over the window ``keys[lo:hi]`` of
 one sorted int sequence, any window at all.  It answers with the global
-rank, in ``[lo, hi]``, and ``(lo, False)`` on an empty window.  An
-instance holds a reference to that sequence, in a plain build and a model
-alike the key set's ``view`` of its u64 buffer, and nothing else.
+rank, in ``[lo, hi]``, and ``(lo, False)`` on an empty window.  Each
+kind defines only that walk: the base's constructor keeps a reference to
+the sequence, in a plain build and a model alike the key set's ``view``
+of its u64 buffer, and nothing else.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from ..core import KEY_BYTES, SortedSetDictionary
+from ..core import SortedSetDictionary
 
 
-class _InPlaceSearch(SortedSetDictionary):
-    """One flat key sequence, searched in place on any window; ``starts``
-    is not needed and not kept."""
-
-    def __init__(self, keys: Sequence[int], starts: Sequence[int]):
-        self._keys = keys
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def space_bytes(self) -> int:
-        return KEY_BYTES * len(self._keys)
-
-
-class BranchyBinarySearch(_InPlaceSearch):
+class BranchyBinarySearch(SortedSetDictionary):
     def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         keys = self._keys
         while lo < hi:
@@ -53,7 +38,7 @@ class BranchyBinarySearch(_InPlaceSearch):
         return lo, False
 
 
-class UniformBinarySearch(_InPlaceSearch):
+class UniformBinarySearch(SortedSetDictionary):
     """Branch-free binary search: every query halves a window exactly
     ceil(log2 n) times, regardless of the key."""
 
@@ -71,7 +56,7 @@ class UniformBinarySearch(_InPlaceSearch):
         return rank, rank < hi and keys[rank] == x
 
 
-class InterpolationSearch(_InPlaceSearch):
+class InterpolationSearch(SortedSetDictionary):
     def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         keys = self._keys
         hi -= 1  # inclusive from here on

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core import SortedSetDictionary
+from ..core import KEY_BYTES, SortedSetDictionary
 
-_NODE_BYTES = 40  # key + left/right/parent + size, one word each
+# key + left/right/parent + size, one word each; the key's word is counted
+# in the key array, the other four are the overhead
+_NODE_BYTES = 40
 
 
 class _Node:
@@ -93,11 +95,8 @@ class SplayTreeDictionary(SortedSetDictionary):
             node.size = hi - lo
             return node
 
-        self._n = len(keys)
+        super().__init__(keys, starts)
         self._roots = {lo: grow(lo, hi, None) for lo, hi in zip(starts, starts[1:]) if lo < hi}
-
-    def __len__(self) -> int:
-        return self._n
 
     def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:
         if lo == hi:
@@ -119,8 +118,8 @@ class SplayTreeDictionary(SortedSetDictionary):
         self._roots[lo] = last
         return rank, node is not None
 
-    def space_bytes(self) -> int:
-        return _NODE_BYTES * self._n
+    def overhead_bytes(self) -> int:
+        return (_NODE_BYTES - KEY_BYTES) * len(self._keys)
 
     def check_integrity(self) -> list[int]:
         """Debug walk: asserts BST order, parent links and sizes, and that
@@ -145,5 +144,5 @@ class SplayTreeDictionary(SortedSetDictionary):
         for lo in sorted(self._roots):
             assert lo == covered, "windows out of step with their start ranks"
             covered += walk(self._roots[lo], None, None)
-        assert covered == self._n
+        assert covered == len(self._keys)
         return out

@@ -87,7 +87,6 @@ class RebuildTrigger(enum.Enum):
 class RebuildEvent:
     trigger: RebuildTrigger
     elements_touched: int  # also the size after the rebuild: it touches every key
-    delta_hat: float
 
 
 @dataclass
@@ -238,7 +237,7 @@ class DynamicBinDict:
             insort(contents, extra)
         floor = 2 * self.delta_hat if trigger is RebuildTrigger.DELTA_GROWTH else 0
         self._install(np.array(contents, dtype=np.uint64), floor)
-        self.ledger.append(RebuildEvent(trigger, len(contents), float(self.delta_hat)))
+        self.ledger.append(RebuildEvent(trigger, len(contents)))
 
     def _after_update(self) -> None:
         """Count one effective update, then rebuild if a trigger fires."""

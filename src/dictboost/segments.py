@@ -195,8 +195,7 @@ class SegmentedDictionary(IntervalModel):
             raise DictboostError(f"eps must be >= 0, got {eps}")
         if not len(keys):
             raise DictboostError("cannot segment an empty key set")
-        self.eps = int(eps)
-        self.segments = _fit_segments(keys, self.eps)
+        self.segments = _fit_segments(keys, int(eps))
         self._firsts = [s.first_key for s in self.segments]
         super().__init__(keys, [s.start_rank for s in self.segments] + [len(keys)], dict_kind)
 

@@ -68,9 +68,7 @@ def gen_uniform_stream(
     ops = []
     for kind in kinds:
         if kind == 1 and len(mirror) > 2:
-            key = mirror[int(rng.integers(0, len(mirror)))]
-            pos = bisect_left(mirror, key)
-            del mirror[pos]
+            key = mirror.pop(int(rng.integers(0, len(mirror))))
             ops.append((OP_DELETE, key))
             continue
         key = int(rng.integers(u_lo, u_hi + 1))

@@ -215,7 +215,7 @@ def gen_queries(
     actual = (pos < arr.size) & (arr[np.minimum(pos, arr.size - 1)] == values)
     if not np.array_equal(actual, labels):
         raise AssertionError("query labels disagree with membership")
-    return QueryWorkload(queries=[int(v) for v in values], labels=labels)
+    return QueryWorkload(queries=values.tolist(), labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 
 from dictboost import binning
 from dictboost.binning import BinGeometry, bin_starts, build_binning
-from dictboost.core import MAX_KEY, SearchOutcome, SortedKeySet
+from dictboost.core import MAX_KEY, DictboostError, SearchOutcome, SortedKeySet, sorted_unique
 from dictboost.dictionaries import DICTIONARY_IDS, _KINDS, _kind, make_builder
 from dictboost.dynamic import DynamicBinDict
 from dictboost.segments import build_segments
@@ -93,6 +93,27 @@ class TestAgainstSearchsorted:
             assert_matches_oracle(build_binning(keys, k, kind), keys, queries)
 
     @pytest.mark.parametrize("kind", DICTIONARY_IDS)
+    def test_numpy_integer_queries(self, kind):
+        """An ``np.uint64`` or ``np.int64`` query gets the answer of the same
+        Python int, binned, segmented and plain, on keys spread over the u64
+        range: in numpy the bin arithmetic would wrap (uint64) or overflow
+        (int64).  A binned model refuses a query that is not an integer."""
+        rng = np.random.default_rng(23)
+        keys = SortedKeySet(sorted_unique(rng.integers(0, MAX_KEY, 3000, np.uint64, endpoint=True)))
+        queries = mixed_queries(keys, 700, seed=24)
+        binned = build_binning(keys, 300, kind)
+        builds = [("binned", binned), ("segmented", build_segments(keys, 16, kind)),
+                  ("plain", make_builder(kind)[1](keys))]
+        for typed in ([np.uint64(x) for x in queries],
+                      [np.int64(x) for x in queries if x < 2**63]):
+            ranks, found = bulk_rank(keys, [int(x) for x in typed])
+            want = list(zip(ranks.tolist(), found.tolist()))
+            for label, d in builds:
+                assert [d.rank_search(x) for x in typed] == want, (label, type(typed[0]))
+        with pytest.raises(DictboostError):
+            binned.rank_search(float(keys[1500]) + 0.5)
+
+    @pytest.mark.parametrize("kind", DICTIONARY_IDS)
     def test_clustered_keys_at_k_equals_n_leave_most_windows_empty(self, kind):
         keys = gen_clustered(3000, outlier_fraction=0.001, seed=4)
         d = build_binning(keys, len(keys), kind)
@@ -133,6 +154,59 @@ def test_window_search_contract(kind):
                         want = w_lo + int(np.searchsorted(arr[w_lo:w_hi], np.uint64(x), side="left"))
                         assert got == (want, want < w_hi and keys[want] == x), (
                             type(seq).__name__, starts, w_lo, x)
+
+
+def _overhead_words(kind, lens):
+    """Words a kind holds beyond the keys, over windows of lengths ``lens``,
+    counted from what it stores: a rank per key (``bfe``, ``bft``), four
+    more words per tree node (``splay``), or the separator levels of the
+    windows longer than the fanout (``css``), each ``ceil(below / f)``
+    long."""
+    name, _, param = kind.partition(":")
+    if name in ("bfe", "bft"):
+        return sum(lens)
+    if name == "splay":
+        return 4 * sum(lens)
+    if name != "css":
+        return 0
+    f, words = int(param or 16), 0
+    for m in lens:
+        while m > f:
+            m = -(-m // f)
+            words += m
+    return words
+
+
+@pytest.mark.parametrize("kind", WINDOW_KINDS)
+def test_space_is_the_keys_plus_the_overhead(kind):
+    """Plain and over windows (empty ones among them), a kind's length is
+    the key count and its space is 8 bytes a key plus its overhead, which
+    is what it stores beyond the keys."""
+    _, cls, params = _kind(kind)
+    keys = gen_clustered(600, outlier_fraction=0.01, seed=6)
+    starts = bin_starts(keys, 40).tolist()
+    for label, d, lens in [("plain", cls.build(keys, *params), [len(keys)]),
+                           ("windows", cls(keys.view, starts, *params), np.diff(starts).tolist())]:
+        assert len(d) == len(keys), label
+        assert d.overhead_bytes() == 8 * _overhead_words(kind, lens), label
+        assert d.space_bytes() == 8 * len(d) + d.overhead_bytes(), label
+
+
+@pytest.mark.parametrize("kind", WINDOW_KINDS)
+def test_plain_rank_search_makes_no_len_call(kind, monkeypatch):
+    """A plain query pays for its search only: ``rank_search`` takes the
+    window's end from the keys, not from a Python ``__len__``."""
+    _, cls, params = _kind(kind)
+    keys = SortedKeySet([3, 9, 20, 21, 40, 77, 1000])
+    d = cls.build(keys, *params)
+
+    def no_len(self):
+        raise AssertionError("rank_search called __len__")
+
+    monkeypatch.setattr(cls, "__len__", no_len)
+    queries = [0, 3, 10, 21, 500, 1000, 2000]
+    ranks, found = bulk_rank(keys, queries)
+    assert [d.rank_search(x) for x in queries] == list(zip(ranks.tolist(), found.tolist()))
 
 
 def test_geometry_uppers_are_the_exact_boundaries():
