@@ -227,24 +227,12 @@ def write_csv(rows: Sequence, out) -> None:
 _MODELS = {"binning": build_binning, "segments": build_segments}
 
 
-def _routing_probe(route: Callable[[int], int], lo: int, hi: int) -> Callable[[int], None]:
-    """The model-prediction stage of a query, range guard included, so that
-    its cost is comparable to rank_search."""
-
-    def probe(x: int) -> None:
-        if lo <= x <= hi:
-            route(x)
-
-    return probe
-
-
 def _sweep(keys, workload, dict_specs, family, params, repeats, dataset_id) -> list[BenchRecord]:
     """Per dictionary: the plain baseline, then ``family`` at each param.
     The prediction time is capped at the mean so that the decomposition
     prediction + final == mean holds."""
     queries = workload.queries
     n = len(keys)
-    lo, hi = keys.lo, keys.hi
     records: list[BenchRecord] = []
     for dict_id, builder in parse_dict_specs(dict_specs):
         plain = builder(keys)
@@ -260,8 +248,7 @@ def _sweep(keys, workload, dict_specs, family, params, repeats, dataset_id) -> l
         for param in params:
             d = _MODELS[family](keys, param, dict_id)
             mean, ratio = measure_paired_ns(d.rank_search, plain.rank_search, queries, repeats)
-            probe = _routing_probe(d.route, lo, hi)
-            pred = min(measure_ns_per_query(probe, queries, repeats), mean)
+            pred = min(measure_ns_per_query(d.route, queries, repeats), mean)
             records.append(
                 BenchRecord(
                     dataset_id, dict_id, family, float(param), d.intervals,

@@ -10,8 +10,9 @@ kinds (``bbs``, ``bfs``, ``is``) search the view itself, ``bfe`` and
 ``bft`` the bin's window of one flat layout, ``css`` the bin's separator
 levels (if it holds more keys than the fanout) over the view, ``splay``
 the bin's own tree.  An empty window answers with its start rank.
-Out-of-range queries never touch a bin: they short-circuit to rank 0 or
-rank n.
+Routing is total: a query below the keys goes to bin 1, which always
+holds the smallest key, and one above them to bin ``k``, which always
+holds the largest, so those edge windows answer rank 0 and rank n.
 
 Bin ``b`` (1-based) covers keys ``x`` with
 ``upper(b-1) < x <= upper(b)`` where ``upper(b) = lo + floor(b*span/k)``,
@@ -25,11 +26,9 @@ fits), never floats.
 
 from __future__ import annotations
 
-from operator import index
-
 import numpy as np
 
-from .core import DictboostError, SortedKeySet
+from .core import DictboostError, SortedKeySet, _as_int
 from .dictionaries import IntervalModel
 
 PER_BIN_HEADER_BYTES = 24  # dictionary pointer + start/end rank fields
@@ -44,23 +43,21 @@ class BinGeometry:
 
     def __init__(self, lo: int, hi: int, k: int):
         self.lo = lo
+        self.hi = hi
         self.k = k
         self.span = hi - lo
 
     def bin_of(self, x: int) -> int:
-        """1-based bin of ``x``, for ``lo <= x <= hi``:
-        ``ceil((x - lo) * k / span)`` with the result 0 (only ``x == lo``)
-        clamped to 1.  A one-key range (span 0) is all bin 1.  Below ``lo``
-        the result is at most 1, above ``hi`` more than ``k``.  A numpy
-        integer ``x`` is taken as a Python int first, so that the product
-        neither wraps nor overflows a fixed width."""
-        try:
-            x = index(x)
-        except TypeError:
-            raise DictboostError(f"query {x!r} is not an integer") from None
-        span = self.span or 1
-        b = ((x - self.lo) * self.k + span - 1) // span
-        return b or 1
+        """1-based bin of the Python int ``x``, in ``[1, k]`` for every
+        ``x``: bin 1 at or below ``lo``, bin ``k`` at or above ``hi``, and
+        ``ceil((x - lo) * k / span)`` between them, where ``span >= 2``.
+        The arithmetic is on Python ints, so the product neither wraps nor
+        overflows; a numpy integer would, and its caller converts it."""
+        if x <= self.lo:
+            return 1
+        if x >= self.hi:
+            return self.k
+        return ((x - self.lo) * self.k + self.span - 1) // self.span
 
     def uppers(self) -> np.ndarray:
         """``upper(b) = lo + floor(b * span / k)`` for ``b = 0..k``, as
@@ -87,8 +84,9 @@ class BinGeometry:
 def bin_index(keys: SortedKeySet, k: int, x: int) -> int:
     """1-based bin of ``x`` under ``k`` equal-width bins over ``keys``.
 
-    Requires ``lo <= x <= hi``.
+    Requires an integer ``lo <= x <= hi``.
     """
+    x = _as_int(x)
     lo, hi = keys.lo, keys.hi
     if not lo <= x <= hi:
         raise DictboostError(f"{x} outside key range [{lo}, {hi}]")

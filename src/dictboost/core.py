@@ -8,6 +8,11 @@ dictionary and every model wrapper in this package answers queries in
 exactly those terms, which is what makes them interchangeable and lets a
 single linear-scan oracle act as ground truth for all of them.
 
+A query is a Python or numpy integer, any integer at all: one below the
+keys answers rank 0 and one above them rank ``n``, also outside the u64
+range.  Anything else (a float, even an integral one, a string, ``None``)
+raises :class:`DictboostError`.
+
 Ranks are 0-based.  The predecessor of ``x`` is ``keys[rank - 1]`` whenever
 ``rank > 0``, so the same outcome serves membership, predecessor and range
 queries.
@@ -81,6 +86,16 @@ class GapStats:
     @property
     def delta_exact(self) -> Fraction:
         return Fraction(self.g_max, self.g_min)
+
+
+def _as_int(x) -> int:
+    """``x`` as a Python int, or :class:`DictboostError` if it is not an
+    integer: a numpy integer would wrap or overflow in the bin arithmetic,
+    and a float would compare as a number where the keys are integers."""
+    try:
+        return index(x)
+    except TypeError:
+        raise DictboostError(f"{x!r} is not an integer") from None
 
 
 def _u64_array(keys: Iterable[int] | np.ndarray) -> np.ndarray:
@@ -319,10 +334,11 @@ class SortedSetDictionary(ABC):
     the package passes a ``SortedKeySet.view`` of the key set's buffer.
     ``starts`` are ascending ranks (first 0, last ``n``): window ``j`` is
     ``[starts[j-1], starts[j])``.  No kind copies keys per window.
-    ``search(x, lo, hi)`` answers on one such window with the global rank,
-    as a plain ``(rank, found)`` tuple.  ``build(keys)`` is the plain
-    dictionary, the kind over the single window ``[0, n)`` of the key
-    set's view, and ``rank_search(x)`` is its search over it.
+    ``search(x, lo, hi)`` answers a Python int ``x`` on one such window
+    with the global rank, as a plain ``(rank, found)`` tuple.
+    ``build(keys)`` is the plain dictionary, the kind over the single
+    window ``[0, n)`` of the key set's view, and ``rank_search(x)`` admits
+    any query (see the module docstring) and searches that window.
 
     This base holds the keys and gives ``len``, ``rank_search`` and the
     space sum; a kind defines its constructor, which calls this one, its
@@ -364,6 +380,11 @@ class SortedSetDictionary(ABC):
         for an empty window."""
 
     def rank_search(self, x: int) -> tuple[int, bool]:
+        # _as_int inline: a call would cost a Python frame per query
+        try:
+            x = index(x)
+        except TypeError:
+            raise DictboostError(f"{x!r} is not an integer") from None
         return self.search(x, 0, len(self._keys))
 
     def __len__(self) -> int:

@@ -32,6 +32,7 @@ of the windows longer than its fanout, and ``splay`` one tree per window.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Callable, Sequence
 
 from ..core import KEY_BYTES, DictboostError, SortedKeySet, SortedSetDictionary
@@ -127,11 +128,13 @@ class IntervalModel:
 
     A subclass cuts the keys, sets ``HEADER_BYTES`` (model bytes per
     interval) and names the interval of a query with ``interval(x)``: the
-    ``j`` whose window ``keys[starts[j-1]:starts[j]]`` answers an in-range
-    ``x``.  The dictionary kind ``dict_kind``, a spec string, is built once
-    over all those windows of the key set's ``view``, which was checked
-    when the key set was made; no per-key object is made.  Queries outside
-    ``[lo, hi]`` answer without routing.
+    ``j`` whose window ``keys[starts[j-1]:starts[j]]`` answers the int
+    ``x``.  Routing is total: a query below the keys goes to the first
+    interval, which holds the smallest key and so answers rank 0, and one
+    above them to the last, which holds the largest and answers ``n``.
+    The dictionary kind ``dict_kind``, a spec string, is built once over
+    all those windows of the key set's ``view``, which was checked when
+    the key set was made; no per-key object is made.
     """
 
     HEADER_BYTES: int
@@ -141,8 +144,6 @@ class IntervalModel:
         self._starts = starts
         self.dict_id, kind, params = _kind(dict_kind)
         self._dict = kind(keys.view, starts, *params)
-        self._lo = keys.lo
-        self._hi = keys.hi
         self._n = len(keys)
 
     @classmethod
@@ -154,7 +155,7 @@ class IntervalModel:
         return cls(keys, *args, **kwargs)
 
     def interval(self, x: int) -> int:
-        """The 1-based interval ``j`` of an in-range ``x``."""
+        """The 1-based interval ``j`` of any int ``x``."""
         raise NotImplementedError
 
     def __getstate__(self) -> dict:
@@ -170,10 +171,11 @@ class IntervalModel:
         self._dict = kind(self.keys.view, self._starts, *params)
 
     def rank_search(self, x: int) -> tuple[int, bool]:
-        if x < self._lo:
-            return 0, False
-        if x > self._hi:
-            return self._n, False
+        # core._as_int inline: a call would cost a Python frame per query
+        try:
+            x = index(x)
+        except TypeError:
+            raise DictboostError(f"{x!r} is not an integer") from None
         j = self.interval(x)
         return self._dict.search(x, self._starts[j - 1], self._starts[j])
 

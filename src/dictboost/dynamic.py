@@ -8,8 +8,9 @@ and an insert outside it forces a rebuild.  The ``k`` bins are
 :class:`~dictboost.binning.BinGeometry`'s equal-width bins over the key
 hull ``[lo, hi]`` only, so they hold keys: ``delta_hat`` is ~10^6 on
 random keys, and bins over the whole range would leave all but one or
-two empty.  A key in either margin between the hull and the range edge
-goes to the nearest edge bin, which keeps the bin map monotone.  Each
+two empty.  The geometry's routing is total: a key in either margin
+between the hull and the range edge, or a query beyond the range, goes to
+the nearest edge bin, which keeps the bin map monotone.  Each
 non-empty bin is a sorted Python list searched by ``bisect``; a Fenwick
 tree over bin sizes turns in-bin ranks into global ones and drives
 order-statistic selection.  Reads do not mutate the structure.  An update
@@ -46,7 +47,6 @@ measurable number rather than a claim.
 from __future__ import annotations
 
 import enum
-import operator
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,20 +61,12 @@ from .core import (
     InvalidKeySetError,
     MAX_KEY,
     SortedKeySet,
+    _as_int,
     gap_stats,
 )
 
 _NO_GAP_MIN = 1 << 80  # placeholder bounds while fewer than two keys exist
 _NO_GAP_MAX = 0
-
-
-def _as_key(x) -> int:
-    """``x`` as a Python int: a numpy integer would wrap in the range and
-    bin arithmetic."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise DictboostError(f"key {x!r} is not an integer") from None
 
 
 class RebuildTrigger(enum.Enum):
@@ -210,7 +202,7 @@ class DynamicBinDict:
         else:
             lo = hi = 0
             self.range_lo, self.range_hi = 0, -1
-        # bins over the key hull, not the widened range: see ``_bin_of``
+        # bins over the key hull, not the widened range: see the module docstring
         self._geometry = BinGeometry(lo, hi, self.k)
         starts = self._geometry.starts(arr)
         counts = np.diff(starts)
@@ -221,15 +213,6 @@ class DynamicBinDict:
         self._fenwick = _Fenwick(counts)
         self.n_at_rebuild = n
         self.updates_since_rebuild = 0
-
-    def _bin_of(self, x: int) -> int:
-        """0-based bin of ``x``; outside the hull, the nearest edge bin."""
-        b = self._geometry.bin_of(x)
-        if b <= 1:
-            return 0
-        if b >= self.k:
-            return self.k - 1
-        return b - 1
 
     def _rebuild(self, trigger: RebuildTrigger, extra: int | None = None) -> None:
         contents = list(self)  # the non-empty bins' lists, chained in C
@@ -264,10 +247,10 @@ class DynamicBinDict:
         return self._size
 
     def rank_search(self, x: int) -> tuple[int, bool]:
-        x = _as_key(x)
+        x = _as_int(x)
         if self._size == 0:
             return 0, False
-        b = self._bin_of(x)
+        b = self._geometry.bin_of(x) - 1
         base = self._fenwick.prefix(b)
         keys = self._bins[b]
         if not keys:
@@ -303,7 +286,7 @@ class DynamicBinDict:
     # -- updates ----------------------------------------------------------------
 
     def insert(self, x: int) -> bool:
-        x = _as_key(x)
+        x = _as_int(x)
         if not 0 <= x <= MAX_KEY:
             raise DictboostError(f"key {x!r} is not an integer in the u64 range")
         if x < self.range_lo or x > self.range_hi:
@@ -311,7 +294,7 @@ class DynamicBinDict:
             self.total_updates += 1
             self._rebuild(RebuildTrigger.OUT_OF_RANGE, extra=x)
             return True
-        b = self._bin_of(x)
+        b = self._geometry.bin_of(x) - 1
         keys = self._bins[b]
         if keys is None:
             keys = self._bins[b] = []
@@ -330,10 +313,10 @@ class DynamicBinDict:
         return True
 
     def delete(self, x: int) -> bool:
-        x = _as_key(x)
+        x = _as_int(x)
         if x < self.range_lo or x > self.range_hi:
             return False  # cannot be present
-        b = self._bin_of(x)
+        b = self._geometry.bin_of(x) - 1
         keys = self._bins[b]
         if not keys:
             return False

@@ -28,11 +28,13 @@ numpy evaluates only distances up to 2**53, which a float64 holds exactly,
 and leaves the rest of a segment wider than that to the scalar loop.
 
 Queries ignore the predictions entirely: a binary search over the
-segments' first keys picks the interval, and the dictionary kind answers
-on the segment's window ``[start_rank, end_rank)`` of the key set's
-``view``, as it does on a bin's (see ``binning``): one instance of the
-kind holds all the windows, and no segment gets a dictionary or a key
-copy of its own.  One routing level, nothing recursive.
+segments' first keys picks the interval (the first segment for a query
+below every key, which its window answers with rank 0), and the
+dictionary kind answers on the segment's window ``[start_rank,
+end_rank)`` of the key set's ``view``, as it does on a bin's (see
+``binning``): one instance of the kind holds all the windows, and no
+segment gets a dictionary or a key copy of its own.  One routing level,
+nothing recursive.
 """
 
 from __future__ import annotations
@@ -200,8 +202,9 @@ class SegmentedDictionary(IntervalModel):
         super().__init__(keys, [s.start_rank for s in self.segments] + [len(keys)], dict_kind)
 
     def interval(self, x: int) -> int:
-        """1-based: the count of segments whose first key is <= ``x``."""
-        return bisect_right(self._firsts, x)
+        """1-based: the count of segments whose first key is <= ``x``, or
+        the first segment for ``x`` below every key."""
+        return bisect_right(self._firsts, x) or 1
 
     def route(self, x: int) -> int:
         """Index of the segment owning an in-range ``x``."""

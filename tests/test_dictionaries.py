@@ -6,13 +6,14 @@ searchsorted oracle from conftest.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictboost.binning import build_binning
+from dictboost.binning import bin_index, build_binning
 from dictboost.core import (
     DictboostError, InvalidKeySetError, SearchOutcome, SortedKeySet, gap_stats,
 )
@@ -151,6 +152,34 @@ def test_every_entry_point_checks_the_keys(entry, tmp_path):
         with pytest.raises(InvalidKeySetError):
             call(bad, tmp_path)
     call([np.uint64(0), 7, 2**64 - 1], tmp_path)
+
+
+# One table of bad queries for every structure that answers a query.  A
+# query is a Python or numpy integer; anything else fails everywhere, an
+# integral float and a digit string too.
+NOT_INTEGER_QUERIES = [301.5, np.float64(3.0), "7", None, b"1"]
+
+# structure -> its query call over a key set
+QUERY_ENTRY_POINTS = {
+    **{kind: (lambda keys, kind=kind: make_builder(kind)[1](keys).rank_search)
+       for kind in DICTIONARY_IDS},
+    "binned": lambda keys: build_binning(keys, 100, "bbs").rank_search,
+    "segmented": lambda keys: build_segments(keys, 16, "bbs").rank_search,
+    "DynamicBinDict": lambda keys: DynamicBinDict(keys, 64).rank_search,
+    "bin_index": lambda keys: partial(bin_index, keys, 4),
+}
+
+
+@pytest.mark.parametrize("entry", QUERY_ENTRY_POINTS)
+def test_every_structure_refuses_a_query_that_is_not_an_integer(entry):
+    """Over the keys 0, 3, ..., 2997, each bad query raises
+    ``DictboostError``, and a numpy integer gets the Python int's answer."""
+    query = QUERY_ENTRY_POINTS[entry](SortedKeySet(range(0, 3000, 3)))
+    for bad in NOT_INTEGER_QUERIES:
+        with pytest.raises(DictboostError, match="not an integer"):
+            query(bad)
+    for x in (300, 301, 2997):
+        assert query(np.int64(x)) == query(np.uint64(x)) == query(x), x
 
 
 @pytest.mark.parametrize("kind", ["bbs", "bfs", "is", "css"])

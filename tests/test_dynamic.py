@@ -75,11 +75,11 @@ def bin_sizes(d):
 
 
 def assert_keys_in_their_bins(d):
-    """Every key sits in the bin ``_bin_of`` names, and the Fenwick tree
-    counts each bin's keys."""
+    """Every key sits in the bin the geometry's ``bin_of`` names, and the
+    Fenwick tree counts each bin's keys."""
     for b, held in enumerate(d._bins):
         keys = list(held) if held is not None else []
-        assert all(d._bin_of(x) == b for x in keys), f"bin {b}: {keys}"
+        assert all(d._geometry.bin_of(x) - 1 == b for x in keys), f"bin {b}: {keys}"
         assert d._fenwick.prefix(b + 1) - d._fenwick.prefix(b) == len(keys)
     assert d._fenwick.prefix(d.k) == len(d)
 
@@ -151,8 +151,9 @@ class TestBinCut:
 
 class TestSharedBinCut:
     """The dynamic bins are the static model's bins of the key hull: for
-    k <= n they hold the windows ``bin_starts`` cuts, and ``_bin_of`` is
-    ``bin_index`` inside the hull and the nearest edge bin outside it."""
+    k <= n they hold the windows ``bin_starts`` cuts, and the geometry's
+    ``bin_of`` is ``bin_index`` inside the hull and the nearest edge bin
+    outside it."""
 
     KEY_SETS = pytest.mark.parametrize(
         "keys", [TEN_KEYS, U64_EXTREMES], ids=["ten", "u64-extremes"]
@@ -189,7 +190,7 @@ class TestSharedBinCut:
             probes.update(e + de for e in edges for de in (-1, 0, 1))
             probes = sorted(x for x in probes if lo <= x <= hi)
         for x in probes:
-            assert d._bin_of(x) + 1 == bin_index(sk, k, x), x
+            assert d._geometry.bin_of(x) == bin_index(sk, k, x), x
 
     @KEY_SETS
     @BIN_COUNTS
@@ -198,9 +199,9 @@ class TestSharedBinCut:
         lo, hi = keys[0], keys[-1]
         assert d.range_lo < lo and hi < d.range_hi
         for x in {d.range_lo, d.range_lo + 1, (d.range_lo + lo) // 2, lo - 1}:
-            assert d._bin_of(x) == 0, x
+            assert d._geometry.bin_of(x) - 1 == 0, x
         for x in {hi + 1, (hi + d.range_hi) // 2, d.range_hi - 1, d.range_hi}:
-            assert d._bin_of(x) == k - 1, x
+            assert d._geometry.bin_of(x) - 1 == k - 1, x
 
 
 
@@ -221,7 +222,7 @@ class TestHullGeometry:
     def test_margin_key_goes_to_the_edge_bin_without_a_rebuild(self, x, edge):
         d = DynamicBinDict(SortedKeySet(TEN_KEYS), k=8)
         assert d.range_lo < x < TEN_KEYS[0] or TEN_KEYS[-1] < x < d.range_hi
-        assert d._bin_of(x) == edge
+        assert d._geometry.bin_of(x) - 1 == edge
         assert d.insert(x) is True
         assert d.ledger.count() == 0
         assert x in list(d._bins[edge])
@@ -241,7 +242,7 @@ class TestHullGeometry:
         d = DynamicBinDict(SortedKeySet(TEN_KEYS), k=8)
         xs = sorted({d.range_lo, d.range_hi, *range(d.range_lo, d.range_hi + 1, 97),
                      *(y + dy for y in TEN_KEYS for dy in (-1, 0, 1))})
-        bins = [d._bin_of(x) for x in xs]
+        bins = [d._geometry.bin_of(x) - 1 for x in xs]
         assert bins == sorted(bins)
         assert bins[0] == 0 and bins[-1] == d.k - 1
 
@@ -706,7 +707,7 @@ class DynamicAgainstMirror(RuleBasedStateMachine):
     def insert_in_margin(self, above, data):
         """A key strictly between the hull and the widened range's edge:
         inside the range, so no out-of-range rebuild, but past the bins'
-        cut, so ``_bin_of`` clamps it into an edge bin."""
+        cut, so the geometry's ``bin_of`` clamps it into an edge bin."""
         if above:
             lo, hi = self.mirror[-1] + 1, min(self.d.range_hi, MAX_KEY)
         else:

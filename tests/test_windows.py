@@ -156,6 +156,34 @@ def test_window_search_contract(kind):
                             type(seq).__name__, starts, w_lo, x)
 
 
+@pytest.mark.parametrize("kind", WINDOW_KINDS)
+def test_edge_windows_answer_every_integer_outside_the_keys(kind):
+    """Routing is total: a query below the keys goes to the first interval
+    and one above them to the last, also past either end of the u64 range.
+    Plain, binned (k = 1, n/10, n) and segmented (eps 0, 16), every probe,
+    as a Python int and as each numpy integer type that holds it, gets
+    searchsorted's answer (0 below the u64 range, n above it), and the
+    splay trees that those probes splay stay sound."""
+    rng = np.random.default_rng(31)
+    keys = SortedKeySet(sorted_unique(rng.integers(1, 2**40, 1000, dtype=np.uint64)))
+    n, lo, hi = len(keys), keys.lo, keys.hi
+    probes = [-(2**70), -1, lo - 1, lo, hi, hi + 1, MAX_KEY, 2**64, 2**70]
+    want = {x: (0, False) if x < 0 else (n, False) if x > MAX_KEY else
+            (int(np.searchsorted(keys.array, np.uint64(x))), x in (lo, hi)) for x in probes}
+    typed = [(x, x) for x in probes]
+    typed += [(np.int64(x), x) for x in probes if -(2**63) <= x < 2**63]
+    typed += [(np.uint64(x), x) for x in probes if 0 <= x <= MAX_KEY]
+    builds = [("plain", make_builder(kind)[1](keys))]
+    builds += [(f"binning k={k}", build_binning(keys, k, kind)) for k in (1, n // 10, n)]
+    builds += [(f"segments eps={eps}", build_segments(keys, eps, kind)) for eps in (0, 16)]
+    for label, d in builds:
+        for q, x in typed:
+            assert d.rank_search(q) == want[x], (label, type(q).__name__, x)
+        if kind == "splay":
+            tree = d if label == "plain" else d._dict
+            assert tree.check_integrity() == keys.as_list(), label
+
+
 def _overhead_words(kind, lens):
     """Words a kind holds beyond the keys, over windows of lengths ``lens``,
     counted from what it stores: a rank per key (``bfe``, ``bft``), four
@@ -246,8 +274,8 @@ def test_models_build_one_dictionary(constructed):
 
 
 def test_every_search_path_returns_a_plain_tuple():
-    """Every kind's ``search``, every model's ``rank_search`` (the range
-    guard's answers below and above the keys too) and ``DynamicBinDict``'s
+    """Every kind's ``search``, every model's ``rank_search`` (the edge
+    windows' answers below and above the keys too) and ``DynamicBinDict``'s
     return exactly ``tuple``: a named tuple costs several times as much to
     build, on every query."""
     keys = SortedKeySet([3, 9, 20, 21, 40, 77, 1000])
