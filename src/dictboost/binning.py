@@ -31,7 +31,10 @@ import numpy as np
 from .core import DictboostError, SortedKeySet, _as_int
 from .dictionaries import IntervalModel
 
-PER_BIN_HEADER_BYTES = 24  # dictionary pointer + start/end rank fields
+# pinned model bytes per bin.  No bin holds fields of its own: its start
+# rank is one 8-byte entry of the model's int64 rank table, and the one
+# dictionary the model holds answers every bin
+PER_BIN_HEADER_BYTES = 24
 
 # b * r <= k * r stays below this in BinGeometry.uppers, so no u64 product
 # there can wrap; as r < k, only a geometry of over 2**31 bins goes past it
@@ -126,9 +129,8 @@ class BinnedDictionary(IntervalModel, BinGeometry):
     interval = route = BinGeometry.bin_of
 
     def __init__(self, keys: SortedKeySet, k: int, dict_kind: str = "bbs"):
-        starts = bin_starts(keys, k).tolist()
         BinGeometry.__init__(self, keys.lo, keys.hi, k)
-        IntervalModel.__init__(self, keys, starts, dict_kind)
+        IntervalModel.__init__(self, keys, bin_starts(keys, k), dict_kind)
 
     def routing_steps(self) -> int:
         """Comparisons the routing needs: none, it is arithmetic."""

@@ -332,8 +332,10 @@ class SortedSetDictionary(ABC):
     ``Kind(keys, starts[, param])`` takes sorted distinct u64 ``keys`` as
     any sequence of ints, which it reads but never changes; every build in
     the package passes a ``SortedKeySet.view`` of the key set's buffer.
-    ``starts`` are ascending ranks (first 0, last ``n``): window ``j`` is
-    ``[starts[j-1], starts[j])``.  No kind copies keys per window.
+    ``starts`` are ascending ranks (first 0, last ``n``), any sequence of
+    ints: a learned model passes a ``memoryview`` of its int64 rank table.
+    Window ``j`` is ``[starts[j-1], starts[j])``.  No kind copies keys per
+    window.
     ``search(x, lo, hi)`` answers a Python int ``x`` on one such window
     with the global rank, as a plain ``(rank, found)`` tuple.
     ``build(keys)`` is the plain dictionary, the kind over the single

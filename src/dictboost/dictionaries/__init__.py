@@ -35,6 +35,8 @@ from __future__ import annotations
 from operator import index
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ..core import KEY_BYTES, DictboostError, SortedKeySet, SortedSetDictionary
 from .css import CssTreeSearch
 from .layouts import BlockTreeSearch, EytzingerSearch
@@ -126,6 +128,11 @@ class IntervalModel:
     """A sorted key set cut into intervals at the ascending ranks
     ``starts`` (first 0, last ``n``), answered by one dictionary kind.
 
+    ``starts`` is one int64 array, 8 bytes per interval boundary, read
+    through a ``memoryview`` as the key set's ``view`` reads the keys:
+    indexing it gives a plain Python int, with no boxed int per interval
+    held between queries.
+
     A subclass cuts the keys, sets ``HEADER_BYTES`` (model bytes per
     interval) and names the interval of a query with ``interval(x)``: the
     ``j`` whose window ``keys[starts[j-1]:starts[j]]`` answers the int
@@ -139,11 +146,11 @@ class IntervalModel:
 
     HEADER_BYTES: int
 
-    def __init__(self, keys: SortedKeySet, starts: list[int], dict_kind: str):
+    def __init__(self, keys: SortedKeySet, starts: np.ndarray, dict_kind: str):
         self.keys = keys
-        self._starts = starts
+        self._starts = memoryview(starts)
         self.dict_id, kind, params = _kind(dict_kind)
-        self._dict = kind(keys.view, starts, *params)
+        self._dict = kind(keys.view, self._starts, *params)
         self._n = len(keys)
 
     @classmethod
@@ -159,14 +166,17 @@ class IntervalModel:
         raise NotImplementedError
 
     def __getstate__(self) -> dict:
-        # the dictionary may hold the key set's view, which cannot be
-        # pickled; a copy builds its own over the copied key set
+        # the dictionary may hold the key set's view, and neither view can
+        # be pickled: carry the rank array, and a copy builds its own
+        # dictionary over the copied key set
         state = self.__dict__.copy()
         del state["_dict"]
+        state["_starts"] = self._starts.obj
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._starts = memoryview(self._starts)
         _, kind, params = _kind(self.dict_id)
         self._dict = kind(self.keys.view, self._starts, *params)
 

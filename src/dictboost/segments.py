@@ -16,16 +16,24 @@ re-verified against every member with that formula, the one
 cut just before the first violation, which makes the eps guarantee
 unconditional rather than subject to rounding luck.
 
-The fit is one pass, chunked.  A segment's first few dozen candidates are
-taken one at a time in Python, so short segments (small eps) pay no numpy
-call overhead.  Past that head the candidates go to numpy in doubling
-chunks: each chunk's bounds ``(off -+ eps) / d`` come from one division,
-the running interval from ``maximum.accumulate`` / ``minimum.accumulate``
-seeded with the carried ends, and the closing point is the first index
-where they cross; the re-verification of a long segment is one vector
-pass too.  The floats are bit for bit those of the one-key-at-a-time loop:
-numpy evaluates only distances up to 2**53, which a float64 holds exactly,
-and leaves the rest of a segment wider than that to the scalar loop.
+The fit is one pass, chunked.  After a short segment, the next one's
+first few dozen candidates are taken one at a time in Python, so short
+segments (small eps) pay no numpy call overhead; after a segment longer
+than that head, numpy takes the next from its first candidate.  The
+candidates go to numpy in doubling chunks, the first of them half as long
+as the previous segment (``_FIRST_CHUNK`` at least), so a fit whose
+segments have like lengths makes few chunks per segment: each chunk's
+bounds ``(off -+ eps) / d`` come from one division, the running interval
+from ``maximum.accumulate`` / ``minimum.accumulate`` seeded with the
+carried ends, and the closing point is the first index where they cross;
+the re-verification of a long segment is one vector pass too.  Once the
+interval is a single slope it can only keep it or empty, so growth stops
+at the first member that slope misses, where the re-verification would
+cut anyway: evenly spaced keys whose slope rounds down then fit in linear
+time, not quadratic.  The floats are bit for bit those of the
+one-key-at-a-time loop, however the candidates are chunked: numpy
+evaluates only distances up to 2**53, which a float64 holds exactly, and
+leaves the rest of a segment wider than that to the scalar loop.
 
 Queries ignore the predictions entirely: a binary search over the
 segments' first keys picks the interval (the first segment for a query
@@ -50,8 +58,8 @@ from .core import DictboostError, SortedKeySet
 from .dictionaries import IntervalModel
 
 PER_SEGMENT_BYTES = 48  # pinned header; routing key + (first_key, slope, start, end) take 40
-_SCALAR_HEAD = 32  # candidates per segment grown in Python before numpy takes over
-_FIRST_CHUNK = 256  # first numpy chunk; each next one is twice as long
+_SCALAR_HEAD = 32  # candidates grown in Python after a segment no longer than this
+_FIRST_CHUNK = 256  # least first numpy chunk; each next one is twice as long
 _EXACT_SPAN = 2**53  # every integer up to it is exact in a float64
 
 
@@ -85,13 +93,15 @@ def _fit_segments(ks: SortedKeySet | Sequence[int] | np.ndarray, eps: int) -> li
     keys = memoryview(arr)  # Python ints for the scalar steps, with no list copy
     n = len(keys)
     segs: list[Segment] = []
-    i = 0
+    i = prev = 0  # prev: the length of the last segment
     while i < n:
         x0 = keys[i]
         slope_lo, slope_hi = -math.inf, math.inf
         # the scalar steps stay inline: a call per segment would cost about
-        # as much as a small-eps segment's whole fit
-        j, stop = i + 1, min(n, i + 1 + _SCALAR_HEAD)
+        # as much as a small-eps segment's whole fit; after a segment longer
+        # than the head, numpy takes this one from its first candidate
+        j = i + 1
+        stop = j if prev > _SCALAR_HEAD else min(n, j + _SCALAR_HEAD)
         while True:
             while j < stop:
                 d = keys[j] - x0
@@ -108,13 +118,14 @@ def _fit_segments(ks: SortedKeySet | Sequence[int] | np.ndarray, eps: int) -> li
             # the head fit whole: numpy takes the candidates whose distance
             # is exact, and this loop the rest
             exact = max(j, _exact_stop(arr, i, n, eps))
-            j, slope_lo, slope_hi = _shrink_chunks(arr, i, j, exact, eps, slope_lo, slope_hi)
+            first = max(_FIRST_CHUNK, prev // 2)
+            j, slope_lo, slope_hi = _shrink_chunks(arr, i, j, exact, eps, slope_lo, slope_hi, first)
             if j < exact:
                 break
             stop = n
-        # after one member both interval ends are finite; a lone anchor
-        # predicts its own rank regardless of slope
-        slope = 0.0 if j == i + 1 else (slope_lo + slope_hi) / 2.0
+        # after one member both interval ends are finite; an anchor with no
+        # member predicts its own rank regardless of slope
+        slope = 0.0 if slope_hi == math.inf else (slope_lo + slope_hi) / 2.0
         # float re-verification with the query-time formula; cut before the
         # first member the rounded prediction misses by more than eps
         end = j
@@ -129,21 +140,34 @@ def _fit_segments(ks: SortedKeySet | Sequence[int] | np.ndarray, eps: int) -> li
                 end = v
                 break
         segs.append(Segment(x0, slope, i, end))
-        i = end
+        prev, i = end - i, end
     return segs
 
 
-def _shrink_chunks(arr: np.ndarray, i: int, j: int, stop: int, eps: int, lo: float, hi: float):
+def _shrink_chunks(
+    arr: np.ndarray, i: int, j: int, stop: int, eps: int, lo: float, hi: float, size: int
+):
     """The scalar cone steps of ``_fit_segments`` for the candidates ``[j,
-    stop)`` of the segment anchored at rank ``i``, in numpy over doubling
-    chunks: ``(j, lo, hi)`` with ``j`` the first candidate that does not fit
-    (``stop`` if all do) and the interval of the members before it.
+    stop)`` of the segment anchored at rank ``i``, in numpy over chunks of
+    ``size`` candidates, then twice, four times that and so on: ``(j, lo,
+    hi)`` with ``j`` the first candidate that does not fit (``stop`` if all
+    do) and the interval of the members before it.
+
+    Once the interval is one slope (``lo == hi``) it stays that slope or
+    empties, so that slope is the segment's: growth then stops at the first
+    member it misses by more than ``eps``, where the re-verification would
+    cut the segment anyway, and ``(lo, hi)`` is that one slope.  On evenly
+    spaced keys whose slope rounds down, this ends each segment at once
+    instead of growing it to the end of the keys.
 
     Below ``_exact_stop`` every distance and offset is an exact float64, so
     each bound is the correctly rounded quotient the scalar division gives.
     """
-    size = _FIRST_CHUNK
     while j < stop:
+        if lo == hi:
+            miss = _first_miss(arr, i, j, lo, eps)
+            if miss < j:
+                return miss, lo, hi
         b = min(stop, j + size)
         d = (arr[j:b] - arr[i]).astype(np.float64)
         run_lo = np.arange(j - i - eps, b - i - eps, dtype=np.float64) / d
@@ -199,7 +223,8 @@ class SegmentedDictionary(IntervalModel):
             raise DictboostError("cannot segment an empty key set")
         self.segments = _fit_segments(keys, int(eps))
         self._firsts = [s.first_key for s in self.segments]
-        super().__init__(keys, [s.start_rank for s in self.segments] + [len(keys)], dict_kind)
+        starts = np.array([s.start_rank for s in self.segments] + [len(keys)], dtype=np.int64)
+        super().__init__(keys, starts, dict_kind)
 
     def interval(self, x: int) -> int:
         """1-based: the count of segments whose first key is <= ``x``, or

@@ -6,6 +6,9 @@ x = 700 routes to the empty bin 3 and must come back with the cumulative
 start rank 8, not found.
 """
 
+import gc
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,21 @@ from dictboost.binning import (
 from dictboost.core import DictboostError, MAX_KEY, SearchOutcome, SortedKeySet
 
 from conftest import TEN_KEYS, assert_matches_oracle, bulk_rank, mixed_queries
+
+
+def reachable_bytes(obj: object) -> int:
+    """``sys.getsizeof`` summed over every object reachable from ``obj``,
+    each counted once; classes are not followed."""
+    seen: set[int] = set()
+    stack, total = [obj], 0
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, type):
+            continue
+        seen.add(id(o))
+        total += sys.getsizeof(o)
+        stack.extend(gc.get_referents(o))
+    return total
 
 
 class TestBinIndex:
@@ -171,6 +189,15 @@ class TestBinnedDictionary:
         fat = build_binning(sk, 4, "bfe")  # every inner adds its rank table
         assert fat.space_bytes() == 24 * 4 + 8 * len(TEN_KEYS)
         assert plain.space_overhead_pct() == pytest.approx(100.0 * 96 / 80)
+
+    def test_rank_table_is_eight_bytes_per_boundary(self):
+        """Beyond its key array, a binned model at k = n/10 reaches no more
+        than its 8-byte rank table entries and a fixed few objects, by a
+        ``sys.getsizeof`` walk over everything it refers to."""
+        keys = SortedKeySet(np.unique(np.random.default_rng(41).integers(0, 2**44, 20_000, dtype=np.uint64)))
+        k = len(keys) // 10
+        d = build_binning(keys, k)
+        assert reachable_bytes(d) - keys.array.nbytes <= 8 * (k + 1) + 4096
 
     def test_route_is_order_preserving(self):
         sk = SortedKeySet(TEN_KEYS)

@@ -95,6 +95,21 @@ def fit_key_sets() -> dict[str, np.ndarray]:
     }
 
 
+def swing_keys(seed: int) -> np.ndarray:
+    """Evenly spaced runs, which fit one long segment at any eps, each
+    followed by a scatter with log-uniform gaps up to 2**36, which cuts
+    short segments: the fit meets long after short and short after long
+    at eps 0 to 256."""
+    rng = np.random.default_rng(seed)
+    parts, x = [], 0
+    for run in [12_000, 40, 6_000, 3, 9_000, 700, 2, 4_000]:
+        parts.append(x + int(rng.integers(1, 4)) * np.arange(run, dtype=np.uint64))
+        gaps = 2 ** rng.uniform(0, 36, int(rng.integers(5, 400)))
+        parts.append(int(parts[-1][-1]) + np.cumsum(1 + gaps.astype(np.uint64)))
+        x = int(parts[-1][-1]) + int(rng.integers(1, 2**30))
+    return np.concatenate(parts)
+
+
 class TestEpsilonGuarantee:
     @pytest.mark.parametrize("eps", [0, 1, 2, 8, 64])
     def test_every_member_within_eps(self, eps):
@@ -173,6 +188,43 @@ class TestChunkedFit:
         with mock.patch.multiple(segments, _SCALAR_HEAD=head, _FIRST_CHUNK=chunk):
             for eps in [0, 4, 64]:
                 assert bits(_fit_segments(raw, eps)) == bits(reference_fit(raw.tolist(), eps))
+
+    @pytest.mark.parametrize("head, chunk", [(32, 256), (1, 1), (2, 3), (5, 2)])
+    def test_first_chunk_sized_by_the_last_segment(self, head, chunk):
+        """The first numpy chunk grows with the previous segment and the
+        scalar head is skipped after a long one; neither moves a float."""
+        raw = swing_keys(8)
+        long = 2 * 256  # half of it passes the default first chunk
+        with mock.patch.multiple(segments, _SCALAR_HEAD=head, _FIRST_CHUNK=chunk):
+            for eps in [0, 4, 16, 256]:
+                segs = _fit_segments(raw, eps)
+                lens = [len(s) for s in segs]
+                assert any(a > long and b < a // 10 for a, b in zip(lens, lens[1:]))
+                assert any(a < b // 10 and b > long for a, b in zip(lens, lens[1:]))
+                assert bits(segs) == bits(reference_fit(raw.tolist(), eps))
+
+    def test_collinear_keys_fit_in_linear_work(self):
+        """On ``49 * j`` keys at eps 0 the cone is the one slope 1/49 rounded
+        down, which misses the next key: one segment per key, each found
+        without growing the cone to the end of the keys."""
+        n = 1500
+        raw = np.arange(1, n + 1, dtype=np.uint64) * 49
+        counted = [0]
+
+        def counting(fn, candidates):
+            def wrapper(*args):
+                out = fn(*args)
+                counted[0] += candidates(args, out)
+                return out
+            return wrapper
+
+        grown = counting(segments._shrink_chunks, lambda a, out: max(out[0] - a[2], 0))
+        checked = counting(segments._first_miss, lambda a, out: a[2] - a[1] - 1)
+        with mock.patch.multiple(segments, _shrink_chunks=grown, _first_miss=checked):
+            segs = _fit_segments(raw, 0)
+        assert bits(segs) == bits(reference_fit(raw.tolist(), 0))
+        assert len(segs) == n
+        assert counted[0] <= (segments._SCALAR_HEAD + segments._FIRST_CHUNK) * n
 
     def test_eps_past_float_precision_stays_exact(self):
         raw = fit_key_sets()["u64-extremes-1"]
