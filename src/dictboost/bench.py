@@ -9,7 +9,9 @@ two alternate on blocks of ``PAIR_BLOCK`` queries of the identical
 pre-shuffled order, and the ratio is the median per-pass ratio.  Machine
 speed drifts in phases of seconds that move a lone pass by 20-30%;
 alternating blocks lets such a phase slow both sides alike, so it drops
-out of the ratio.
+out of the ratio.  The side that leads a block rotates from block to
+block: the side that runs second finds the block's keys already in cache
+and reads faster, so a fixed order would favour one side.
 
 ``write_csv`` puts a leading ``schema`` column (currently 2) before the
 row fields so the CSV layout can evolve without breaking downstream
@@ -39,7 +41,9 @@ SCHEMA_VERSION = 2
 DEFAULT_REPEATS = 5
 DEFAULT_WARMUP = 1
 DEFAULT_PCTS = (1.0, 5.0, 10.0, 25.0, 50.0, 100.0)
-PAIR_BLOCK = 1000  # queries per alternation in measure_paired_ns
+# queries per alternation; the callable that leads rotates by block, so
+# the cache warmth a block leaves for the next side is shared evenly
+PAIR_BLOCK = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -48,38 +52,6 @@ PAIR_BLOCK = 1000  # queries per alternation in measure_paired_ns
 # Pure-Python dictionaries get timed with a plain attribute-lookup-free loop.
 # Per-call overhead is identical across structures, so ratios stay fair even
 # though absolute numbers mean nothing outside this process.
-
-
-def _one_pass(search: Callable[[int], object], queries: list) -> int:
-    t0 = time.perf_counter_ns()
-    for x in queries:
-        search(x)
-    return time.perf_counter_ns() - t0
-
-
-def _paired_pass(search, baseline, blocks: list[list]) -> tuple[int, int]:
-    """One pass of each callable over the query blocks, alternating block
-    by block: (search ns, baseline ns)."""
-    clock = time.perf_counter_ns
-    t_search = t_base = 0
-    for block in blocks:
-        t0 = clock()
-        for x in block:
-            baseline(x)
-        t1 = clock()
-        for x in block:
-            search(x)
-        t2 = clock()
-        t_base += t1 - t0
-        t_search += t2 - t1
-    return t_search, t_base
-
-
-def _check_timing_args(queries: list, repeats: int) -> None:
-    if not queries:
-        raise DictboostError("cannot time an empty query sequence")
-    if repeats < 1:
-        raise DictboostError(f"need repeats >= 1, got {repeats}")
 
 
 @contextmanager
@@ -93,6 +65,34 @@ def _gc_paused():
             gc.enable()
 
 
+def _passes(fns: Sequence[Callable[[int], object]], queries: list, repeats: int) -> list[list[int]]:
+    """ns per callable in each of ``repeats`` timed passes, after
+    ``DEFAULT_WARMUP`` untimed ones.  A pass runs the callables in turn on
+    each block of ``PAIR_BLOCK`` queries, so each sees every query once, in
+    order; block ``b`` is led by ``fns[b % len(fns)]``."""
+    if not queries:
+        raise DictboostError("cannot time an empty query sequence")
+    if repeats < 1:
+        raise DictboostError(f"need repeats >= 1, got {repeats}")
+    clock = time.perf_counter_ns
+    blocks = [queries[i : i + PAIR_BLOCK] for i in range(0, len(queries), PAIR_BLOCK)]
+    m = len(fns)
+    passes = []
+    with _gc_paused():
+        for _ in range(DEFAULT_WARMUP + repeats):
+            ns = [0] * m
+            for b, block in enumerate(blocks):
+                for j in range(m):
+                    i = (b + j) % m
+                    f = fns[i]
+                    t0 = clock()
+                    for x in block:
+                        f(x)
+                    ns[i] += clock() - t0
+            passes.append(ns)
+    return passes[DEFAULT_WARMUP:]
+
+
 def measure_ns_per_query(
     search: Callable[[int], object],
     queries: list,
@@ -100,12 +100,7 @@ def measure_ns_per_query(
 ) -> float:
     """Median-of-``repeats`` nanoseconds per query, after
     ``DEFAULT_WARMUP`` untimed passes."""
-    _check_timing_args(queries, repeats)
-    with _gc_paused():
-        for _ in range(DEFAULT_WARMUP):
-            _one_pass(search, queries)
-        samples = [_one_pass(search, queries) for _ in range(repeats)]
-    return statistics.median(samples) / len(queries)
+    return statistics.median(p[0] for p in _passes([search], queries, repeats)) / len(queries)
 
 
 def measure_paired_ns(
@@ -116,15 +111,8 @@ def measure_paired_ns(
 ) -> tuple[float, float]:
     """(median-of-``repeats`` ns per query of ``search``, median per-pass
     ratio of its time to ``baseline``'s), the two timed in alternation on
-    blocks of ``PAIR_BLOCK`` queries.  Each callable still sees every
-    query, in order, once per pass, the ``DEFAULT_WARMUP`` untimed ones
-    included."""
-    _check_timing_args(queries, repeats)
-    blocks = [queries[i : i + PAIR_BLOCK] for i in range(0, len(queries), PAIR_BLOCK)]
-    with _gc_paused():
-        for _ in range(DEFAULT_WARMUP):
-            _paired_pass(search, baseline, blocks)
-        passes = [_paired_pass(search, baseline, blocks) for _ in range(repeats)]
+    blocks of ``PAIR_BLOCK`` queries, each leading every other block."""
+    passes = _passes([search, baseline], queries, repeats)
     mean = statistics.median(t for t, _ in passes) / len(queries)
     return mean, statistics.median(t / max(base, 1) for t, base in passes)
 
@@ -248,7 +236,7 @@ def _sweep(keys, workload, dict_specs, family, params, repeats, dataset_id) -> l
         for param in params:
             d = _MODELS[family](keys, param, dict_id)
             mean, ratio = measure_paired_ns(d.rank_search, plain.rank_search, queries, repeats)
-            pred = min(measure_ns_per_query(d.route, queries, repeats), mean)
+            pred = min(measure_ns_per_query(d.interval, queries, repeats), mean)
             records.append(
                 BenchRecord(
                     dataset_id, dict_id, family, float(param), d.intervals,
@@ -341,6 +329,9 @@ def run_space_selection(
 ) -> list[SpaceRow]:
     """Measure the configuration grids once, then report the fastest
     configuration under each space bound, per model family."""
+    for bound in bounds_pct:
+        if bound <= 0:
+            raise DictboostError(f"space bound must be positive, got {bound}")
     queries = workload.queries
     n = len(keys)
     ks = sorted(set(k_grid if k_grid is not None else default_space_k_grid(n)))
@@ -358,8 +349,6 @@ def run_space_selection(
                 )
     rows: list[SpaceRow] = []
     for bound in bounds_pct:
-        if bound <= 0:
-            raise DictboostError(f"space bound must be positive, got {bound}")
         for family in ("binning", "segments"):
             feasible = [m for m in measured if m[0] == family and m[4] <= bound]
             if not feasible:

@@ -237,7 +237,7 @@ class SegmentedDictionary(IntervalModel):
 
     def predict_rank(self, x: int) -> int:
         """Model prediction for diagnostics; queries never rely on it."""
-        return self.segments[self.route(x)].predict_rank(x)
+        return self.segments[self.interval(x) - 1].predict_rank(x)
 
     @property
     def segment_count(self) -> int:

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DictboostError, SortedKeySet, _u64_array, sorted_unique
+from .core import MAX_KEY, DictboostError, SortedKeySet, _u64_array, sorted_unique
 
 HEADER_BYTES = 8
 KEY_DTYPE = np.dtype("<u8")
@@ -109,6 +109,8 @@ def gen_uniform(n: int, universe: int, seed: int) -> SortedKeySet:
         raise WorkloadError(f"need n >= 1, got {n}")
     if universe < n:
         raise WorkloadError(f"universe {universe} cannot hold {n} distinct keys")
+    if universe > MAX_KEY + 1:
+        raise WorkloadError(f"universe {universe} exceeds the 2**64 u64 keys")
     rng = np.random.default_rng(seed)
     if universe <= 8 * n:
         # dense regime: a partial permutation is cheaper than rejection
@@ -136,6 +138,8 @@ def gen_clustered(
         raise WorkloadError(f"spread must be >= 1, got {spread}")
     band_width = 4 * n
     width = band_width * spread
+    if width > MAX_KEY + 1:
+        raise WorkloadError(f"universe width 4*n*spread = {width} exceeds the 2**64 u64 keys")
     band_lo = (width - band_width) // 2
     n_out = min(n, max(2, round(n * outlier_fraction))) if outlier_fraction > 0 else 0
     rng = np.random.default_rng(seed)

@@ -10,6 +10,7 @@ subset relations exact).
 import csv
 import io
 import math
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -72,10 +73,28 @@ class TestMeasurement:
         )
         assert mean > 0 and ratio > 0
         one_pass = []
-        for i in range(0, len(queries), PAIR_BLOCK):
+        for b, i in enumerate(range(0, len(queries), PAIR_BLOCK)):
             block = queries[i : i + PAIR_BLOCK]
-            one_pass += [("b", x) for x in block] + [("s", x) for x in block]
-        assert calls == one_pass * 4  # 1 warmup + 3 passes, each sees every query in order
+            first, second = ("s", "b") if b % 2 == 0 else ("b", "s")
+            one_pass += [(first, x) for x in block] + [(second, x) for x in block]
+        # 1 warmup + 3 passes; in each, both sides see every query of a block
+        # in order, and the side that leads alternates block by block
+        assert calls == one_pass * 4
+
+    def test_second_side_speedup_cancels_out_of_the_ratio(self, monkeypatch):
+        """One callable on both sides, costing 2 ticks per query when it
+        leads a block and 1 when it follows, reads a ratio of exactly 1."""
+        clock = {"now": 0, "calls": 0}
+
+        def f(x):
+            leads = clock["calls"] % (2 * PAIR_BLOCK) < PAIR_BLOCK
+            clock["now"] += 2 if leads else 1
+            clock["calls"] += 1
+
+        monkeypatch.setattr(time, "perf_counter_ns", lambda: clock["now"])
+        mean, ratio = measure_paired_ns(f, f, list(range(4 * PAIR_BLOCK)), repeats=3)
+        assert ratio == 1.0
+        assert mean == 1.5  # leads two of the four blocks at 2 ticks, follows two at 1
 
 
 class TestBoostSweep:
@@ -206,10 +225,18 @@ class TestSpaceSelection:
         assert len(timed) == 2 * (3 + 2)  # dictionaries x (k grid + eps grid)
         assert all(getattr(s, "__name__", "") == "rank_search" for s in timed)
 
-    def test_nonpositive_bound_rejected(self, small_bench):
+    def test_nonpositive_bound_rejected(self, small_bench, monkeypatch):
+        """Before anything is timed: a bad bound costs no grid of timings."""
+        from dictboost import bench
+
+        timed = []
+        monkeypatch.setattr(bench, "measure_ns_per_query",
+                            lambda search, queries, repeats=1: timed.append(search) or 1.0)
         keys, wl = small_bench
-        with pytest.raises(DictboostError):
-            run_space_selection(keys, wl, "bbs", bounds_pct=[0.0], repeats=1)
+        for bounds in ([0.0], [5.0, -1.0]):
+            with pytest.raises(DictboostError):
+                run_space_selection(keys, wl, "bbs", bounds_pct=bounds, repeats=1)
+        assert timed == []
 
     def test_default_grids_are_sane(self):
         ks = default_space_k_grid(10**6)

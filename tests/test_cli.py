@@ -325,6 +325,9 @@ class TestBadNumbers:
         ["dyn-stream", "--initial", "KEYS", "--ops", "10", "--checkpoint-every", "0"],
         ["dyn-stream", "--initial", "KEYS", "--ops", "10", "--checkpoint-every", "-3"],
         ["dyn-stream", "--initial", "KEYS", "--ops", "10", "--seed", "-1"],
+        # past the u64 range: universe 2**64 + 1, and width 4 * n * spread > 2**64
+        ["gen", "--n", "10", "--universe", str(2**64 + 1), "--out", "OUT"],
+        ["gen", "--kind", "clustered", "--n", "10", "--spread", "461168601842738791", "--out", "OUT"],
     ])
     def test_bad_numbers_are_one_error_line(self, keyfile, tmp_path, capsys, argv):
         out = str(tmp_path / "out.bin")

@@ -146,6 +146,19 @@ class TestEpsilonGuarantee:
         for j, x in enumerate(ks):
             assert d.predict_rank(x) == j
 
+    def test_prediction_uses_the_segment_queries_route_to(self):
+        """Off the keys, the prediction is the owning segment's: the first
+        segment below every key, the last one above them (the router
+        ``rank_search`` uses, not a wrapped index)."""
+        keys = [100, 101, 102, 103, 1000, 5000, 5001, 5002, 90000, 90010]
+        d = build_segments(SortedKeySet(keys), 0)
+        assert d.segment_count > 1
+        lo, hi = keys[0], keys[-1]
+        for x in [0, lo - 1, lo, hi, hi + 1, MAX_KEY]:
+            owner = max([0] + [i for i, s in enumerate(d.segments) if s.first_key <= x])
+            assert d.interval(x) - 1 == owner
+            assert d.predict_rank(x) == d.segments[d.interval(x) - 1].predict_rank(x), x
+
     def test_collinear_keys_need_one_segment(self):
         d = build_segments(SortedKeySet(range(100, 1700, 16)), 0)
         assert d.segment_count == 1

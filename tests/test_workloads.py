@@ -156,6 +156,19 @@ class TestGenerators:
         with pytest.raises(WorkloadError):
             gen_clustered(10, 0.1, seed=0, spread=0)
 
+    def test_universe_ends_at_the_u64_range(self):
+        """A universe of exactly 2**64 keys is drawn from; one more is a
+        typed error rather than numpy's."""
+        keys = gen_uniform(10, 2**64, seed=3)
+        assert len(keys) == 10 and keys.universe_hint == (0, MAX_KEY)
+        with pytest.raises(WorkloadError):
+            gen_uniform(10, 2**64 + 1, seed=3)
+        # width 4 * n * spread
+        keys = gen_clustered(16, 0.25, seed=3, spread=2**58)
+        assert keys.hi == MAX_KEY and keys.universe_hint == (0, MAX_KEY)
+        with pytest.raises(WorkloadError):
+            gen_clustered(16, 0.25, seed=3, spread=2**58 + 1)
+
 
 def _np_unique_uniform(n, universe, seed):
     """The draw loop of ``gen_uniform`` as it was written with ``np.unique``."""
