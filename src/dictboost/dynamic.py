@@ -11,16 +11,17 @@ random keys, and bins over the whole range would leave all but one or
 two empty.  The geometry's routing is total: a key in either margin
 between the hull and the range edge, or a query beyond the range, goes to
 the nearest edge bin, which keeps the bin map monotone.  Each
-non-empty bin is a sorted Python list searched by ``bisect``; a Fenwick
-tree over bin sizes turns in-bin ranks into global ones and drives
-order-statistic selection.  Reads do not mutate the structure.  An update
-is one bisect plus a ``list.insert`` or ``del`` that shifts at most the
-bin's load of slots (one C ``memmove``), and a Fenwick update over
-``log2 k`` nodes.
+non-empty bin is a sorted packed ``array('Q')``, 8 bytes a key, searched
+by ``bisect``; a Fenwick tree over bin sizes turns in-bin ranks into
+global ones and drives order-statistic selection.  Reads do not mutate
+the structure.  An update is one bisect plus an ``insert`` or ``del`` on
+the bin's array that shifts at most the bin's load of 8-byte slots (one C
+``memmove``), and a Fenwick update over ``log2 k`` nodes.
 
-A build reads the key set's uint64 array, a rebuild one made from the
-chained bins: one pass over its gaps gives the exact ratio and the
-starting gap bounds, and the geometry's rank table over it cuts the bins.
+A build reads the key set's uint64 array, a rebuild one concatenated from
+the bins' buffers: one pass over its gaps gives the exact ratio and the
+starting gap bounds, and the geometry's rank table over it cuts the bins,
+each filled from its slice's bytes, so no Python int is made per key.
 
 Rebuilds fire when either
 * ``n/2`` effective updates have accumulated since the last rebuild
@@ -47,10 +48,12 @@ measurable number rather than a claim.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, insort
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -133,9 +136,9 @@ class _Fenwick:
     def prefix(self, i: int) -> int:
         """Total count of bins strictly before ``i``."""
         total = 0
-        while i > 0:
+        while i:
             total += self._tree[i]
-            i -= i & (-i)
+            i &= i - 1
         return total
 
     def select(self, j: int) -> tuple[int, int]:
@@ -154,12 +157,12 @@ class _Fenwick:
 class DynamicBinDict:
     """Insert/delete/search over equal-width bins of the key hull.
 
-    Each bin is a sorted list of its keys, or ``None`` while no key has
-    reached it since the last rebuild.  ``rank_search`` is the bin's
-    Fenwick prefix plus one ``bisect_left`` in its list, and ``select`` a
-    Fenwick descent plus one list index; neither mutates, so readers need
-    no exclusive access.  An insert or delete bisects once and shifts at
-    most the bin's load of list slots.
+    Each bin is a sorted ``array('Q')`` of its keys, 8 bytes a key, or
+    ``None`` while no key has reached it since the last rebuild.
+    ``rank_search`` is the bin's Fenwick prefix plus one ``bisect_left`` in
+    its array, and ``select`` a Fenwick descent plus one array index;
+    neither mutates, so readers need no exclusive access.  An insert or
+    delete bisects once and shifts at most the bin's load of slots.
     """
 
     def __init__(self, keys: SortedKeySet | Iterable[int], k: int):
@@ -207,20 +210,28 @@ class DynamicBinDict:
         starts = self._geometry.starts(arr)
         counts = np.diff(starts)
         filled = np.flatnonzero(counts)
-        self._bins: list[list[int] | None] = [None] * self.k
-        for b, i, j in zip(filled.tolist(), starts[filled].tolist(), starts[filled + 1].tolist()):
-            self._bins[b] = arr[i:j].tolist()
+        self._bins: list[array | None] = [None] * self.k
+        raw = memoryview(arr).cast("B")  # frombytes takes only a byte view
+        for b, i, j in zip(filled.tolist(), (8 * starts[filled]).tolist(),
+                           (8 * starts[filled + 1]).tolist()):
+            self._bins[b] = keys = array("Q")
+            keys.frombytes(raw[i:j])
         self._fenwick = _Fenwick(counts)
         self.n_at_rebuild = n
         self.updates_since_rebuild = 0
 
     def _rebuild(self, trigger: RebuildTrigger, extra: int | None = None) -> None:
-        contents = list(self)  # the non-empty bins' lists, chained in C
+        # the views die with the list: an array that still exports its
+        # buffer refuses to resize, so its next insert would raise
+        views = [np.frombuffer(keys, np.uint64) for keys in self._bins if keys]
+        arr = np.concatenate(views) if views else np.empty(0, np.uint64)
+        del views
         if extra is not None:
-            insort(contents, extra)
+            extra = np.uint64(extra)  # a Python int could promote the search to float64
+            arr = np.insert(arr, np.searchsorted(arr, extra), extra)
         floor = 2 * self.delta_hat if trigger is RebuildTrigger.DELTA_GROWTH else 0
-        self._install(np.array(contents, dtype=np.uint64), floor)
-        self.ledger.append(RebuildEvent(trigger, len(contents)))
+        self._install(arr, floor)
+        self.ledger.append(RebuildEvent(trigger, int(arr.size)))
 
     def _after_update(self) -> None:
         """Count one effective update, then rebuild if a trigger fires."""
@@ -247,11 +258,20 @@ class DynamicBinDict:
         return self._size
 
     def rank_search(self, x: int) -> tuple[int, bool]:
-        x = _as_int(x)
+        # core._as_int and _Fenwick.prefix inline: each call would cost a
+        # Python frame per query
+        try:
+            x = index(x)
+        except TypeError:
+            raise DictboostError(f"{x!r} is not an integer") from None
         if self._size == 0:
             return 0, False
-        b = self._geometry.bin_of(x) - 1
-        base = self._fenwick.prefix(b)
+        b = i = self._geometry.bin_of(x) - 1
+        tree = self._fenwick._tree
+        base = 0
+        while i:
+            base += tree[i]
+            i &= i - 1
         keys = self._bins[b]
         if not keys:
             return base, False
@@ -265,11 +285,11 @@ class DynamicBinDict:
         return self._bins[b][off]
 
     def __iter__(self):
-        # the non-empty bins' lists, concatenated; ``filter`` skips the
+        # the non-empty bins' arrays, concatenated; ``filter`` skips the
         # empty ones in C, which matters at k >> n
         return chain.from_iterable(filter(None, self._bins))
 
-    def _neighbours(self, b: int, keys: list[int], i: int) -> tuple[int | None, int | None]:
+    def _neighbours(self, b: int, keys: array, i: int) -> tuple[int | None, int | None]:
         """The keys just below and above ``keys[i]``, the key at offset
         ``i`` of bin ``b``, or ``None`` past either end of the contents.
         Only a key at a bin edge takes a Fenwick select."""
@@ -297,7 +317,7 @@ class DynamicBinDict:
         b = self._geometry.bin_of(x) - 1
         keys = self._bins[b]
         if keys is None:
-            keys = self._bins[b] = []
+            keys = self._bins[b] = array("Q")
         i = bisect_left(keys, x)
         if i < len(keys) and keys[i] == x:
             return False

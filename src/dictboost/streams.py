@@ -2,9 +2,11 @@
 
 Streams are materialized up front as (op, key) lists so a run can be
 replayed bit-identically.  The uniform generator mixes inserts, deletes
-and searches by weight; the adversarial generator repeatedly inserts the
-midpoint of the currently smallest gap, which drives the gap ratio up as
-fast as possible and exercises the ratio-growth rebuild trigger.
+and searches by weight; the hot-range generator aims every insert and
+search at one narrow range, which piles about half the set into one bin;
+the adversarial generator repeatedly inserts the midpoint of the
+currently smallest gap, which drives the gap ratio up as fast as possible
+and exercises the ratio-growth rebuild trigger.
 
 ``replay_stream`` applies a stream to a :class:`DynamicBinDict` and to a
 mirrored sorted list at the same time, comparing every outcome.  Any
@@ -20,7 +22,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .core import DictboostError, SortedKeySet
+from .core import MAX_KEY, DictboostError, SortedKeySet
 from .dynamic import AmortizedReport, DynamicBinDict
 
 OP_INSERT = "insert"
@@ -35,7 +37,7 @@ class StreamDivergenceError(DictboostError):
 @dataclass(frozen=True)
 class UpdateStream:
     ops: tuple
-    generator: str  # uniform | adversarial
+    generator: str  # uniform | hot_range | adversarial
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -45,6 +47,15 @@ def _initial_contents(initial: SortedKeySet) -> list[int]:
     if len(initial) < 2:
         raise DictboostError("streams need at least two initial keys")
     return initial.as_list()
+
+
+def _op_weights(mix: tuple[float, float, float]) -> list[float]:
+    """The insert/delete/search probabilities of ``mix``."""
+    wi, wd, ws = (float(w) for w in mix)
+    total = wi + wd + ws
+    if total <= 0 or min(wi, wd, ws) < 0:
+        raise DictboostError(f"bad op mix {mix}")
+    return [wi / total, wd / total, ws / total]
 
 
 def gen_uniform_stream(
@@ -57,14 +68,11 @@ def gen_uniform_stream(
     from the initial set's universe, deletes aimed at present keys."""
     if n_ops < 0:
         raise DictboostError(f"need n_ops >= 0, got {n_ops}")
-    wi, wd, ws = (float(w) for w in mix)
-    total = wi + wd + ws
-    if total <= 0 or min(wi, wd, ws) < 0:
-        raise DictboostError(f"bad op mix {mix}")
+    p = _op_weights(mix)
     mirror = _initial_contents(initial)
     u_lo, u_hi = initial.universe_hint if initial.universe_hint else (initial.lo, initial.hi)
     rng = np.random.default_rng(seed)
-    kinds = rng.choice(3, size=n_ops, p=[wi / total, wd / total, ws / total])
+    kinds = rng.choice(3, size=n_ops, p=p)
     ops = []
     for kind in kinds:
         if kind == 1 and len(mirror) > 2:
@@ -80,6 +88,47 @@ def gen_uniform_stream(
         else:
             ops.append((OP_SEARCH, key))
     return UpdateStream(ops=tuple(ops), generator="uniform")
+
+
+def gen_hot_range_stream(
+    initial: SortedKeySet,
+    hot_lo: int,
+    width: int = 2**20,
+    mix: tuple[float, float, float] = (1.0, 1.0, 2.0),
+    seed: int = 0,
+) -> UpdateStream:
+    """``len(initial) // 2 - 1`` inserts drawn uniformly from the hot range
+    ``[hot_lo, hot_lo + width)``, among deletes aimed at present keys
+    anywhere and searches drawn from the hot range, weighted by ``mix``.
+
+    Placed inside one bin, the range piles about half the set into it, so
+    its updates shift a long bin and the deletes elsewhere merge gaps."""
+    if width < 1 or not 0 <= hot_lo <= MAX_KEY - width + 1:
+        raise DictboostError(f"hot range [{hot_lo}, {hot_lo} + {width}) is not inside u64")
+    p = _op_weights(mix)
+    if p[0] == 0:
+        raise DictboostError(f"op mix {mix} has no inserts")
+    mirror = _initial_contents(initial)
+    inserts = len(mirror) // 2 - 1
+    rng = np.random.default_rng(seed)
+    ops = []
+    while inserts > 0:
+        kind = rng.choice(3, p=p)
+        if kind == 1:
+            if len(mirror) > 2:
+                ops.append((OP_DELETE, mirror.pop(int(rng.integers(0, len(mirror))))))
+            continue
+        # uint64 draws, so that a range at the top of u64 works
+        key = hot_lo + int(rng.integers(0, width, dtype=np.uint64))
+        if kind == 0:
+            inserts -= 1
+            pos = bisect_left(mirror, key)
+            if pos == len(mirror) or mirror[pos] != key:
+                mirror.insert(pos, key)
+            ops.append((OP_INSERT, key))
+        else:
+            ops.append((OP_SEARCH, key))
+    return UpdateStream(ops=tuple(ops), generator="hot_range")
 
 
 def gen_adversarial_stream(

@@ -1,4 +1,5 @@
-"""Shared test helpers: a vectorized rank oracle and query generators.
+"""Shared test helpers: a vectorized rank oracle, query generators and a
+``sys.getsizeof`` walk for space bounds.
 
 ``bulk_rank`` is the workhorse ground truth for the equivalence tests.  It
 is itself cross-checked against the linear-scan ``oracle_rank_search`` in
@@ -6,6 +7,9 @@ test_core.py, so the two independent answers anchor everything else.
 """
 
 from __future__ import annotations
+
+import gc
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +19,21 @@ from dictboost.core import MAX_KEY, SortedKeySet
 # the 10-key running example used across the suite; gaps range from 12
 # (398-386) up to 421 (819-398)
 TEN_KEYS = [47, 105, 140, 289, 316, 358, 386, 398, 819, 939]
+
+
+def reachable_bytes(obj: object) -> int:
+    """``sys.getsizeof`` summed over every object reachable from ``obj``,
+    each counted once; classes are not followed."""
+    seen: set[int] = set()
+    stack, total = [obj], 0
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, type):
+            continue
+        seen.add(id(o))
+        total += sys.getsizeof(o)
+        stack.extend(gc.get_referents(o))
+    return total
 
 
 def bulk_rank(keys, queries):

@@ -6,9 +6,6 @@ x = 700 routes to the empty bin 3 and must come back with the cumulative
 start rank 8, not found.
 """
 
-import gc
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,22 +21,7 @@ from dictboost.binning import (
 )
 from dictboost.core import DictboostError, MAX_KEY, SearchOutcome, SortedKeySet
 
-from conftest import TEN_KEYS, assert_matches_oracle, bulk_rank, mixed_queries
-
-
-def reachable_bytes(obj: object) -> int:
-    """``sys.getsizeof`` summed over every object reachable from ``obj``,
-    each counted once; classes are not followed."""
-    seen: set[int] = set()
-    stack, total = [obj], 0
-    while stack:
-        o = stack.pop()
-        if id(o) in seen or isinstance(o, type):
-            continue
-        seen.add(id(o))
-        total += sys.getsizeof(o)
-        stack.extend(gc.get_referents(o))
-    return total
+from conftest import TEN_KEYS, assert_matches_oracle, bulk_rank, mixed_queries, reachable_bytes
 
 
 class TestBinIndex:

@@ -14,7 +14,8 @@ Trigger isolation relies on two constructions used throughout:
 import importlib
 import math
 import random
-from bisect import bisect_left, bisect_right
+from array import array
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -42,7 +43,7 @@ from dictboost.dynamic import (
     build_dynamic,
 )
 
-from conftest import TEN_KEYS, bulk_rank
+from conftest import TEN_KEYS, bulk_rank, reachable_bytes
 
 
 
@@ -70,7 +71,7 @@ def fresh_interior_keys(present, count, lo, hi, seed):
 
 
 def bin_sizes(d):
-    """Keys per bin, counted by walking each bin's list."""
+    """Keys per bin, counted by walking each bin's array."""
     return [sum(1 for _ in keys) if keys is not None else 0 for keys in d._bins]
 
 
@@ -339,8 +340,8 @@ class TestQueries:
         assert len(d) == 11
 
     def test_reads_leave_the_bins_unchanged(self):
-        """Reads answer like a bisect mirror and leave every bin's list as
-        it was, in one bin and in several."""
+        """Reads answer like a bisect mirror and leave every bin's contents
+        as they were, in one bin and in several."""
         keys = list(range(0, 1000, 10))
         for k in (1, 7):
             d = DynamicBinDict(SortedKeySet(keys), k=k)
@@ -349,7 +350,7 @@ class TestQueries:
                 pos = bisect_left(keys, x)
                 assert d.rank_search(x) == (pos, pos < len(keys) and keys[pos] == x), x
             assert [d.select(j) for j in range(len(keys))] == keys
-            assert d._bins == before
+            assert [None if b is None else list(b) for b in d._bins] == before
             assert list(d) == keys
 
     def test_select_tracks_sorted_contents(self):
@@ -385,6 +386,69 @@ class TestQueries:
                 ranks, found = bulk_rank(np.asarray(mirror, np.uint64), [x])
                 assert d.rank_search(x) == (int(ranks[0]), bool(found[0]))
         assert list(d) == mirror
+
+
+class TestPackedBins:
+    """Each non-empty bin is a sorted ``array('Q')``: 8 bytes a key, and
+    the u64 range check on insert guards what the array can hold."""
+
+    @pytest.mark.parametrize("n, k", [(20_000, 256), (500, 4096)], ids=["dynamic-mixed", "k-above-n"])
+    def test_space_is_eight_bytes_a_key_and_a_fixed_cost_per_bin(self, n, k):
+        """A ``sys.getsizeof`` walk over everything the structure refers
+        to, after the build and after a stream of rebuilds, reaches
+        no more than 8 bytes a key and 256 bytes a bin."""
+        from dictboost import gen_uniform
+        from dictboost.streams import OP_DELETE, OP_INSERT, gen_uniform_stream
+
+        keys = gen_uniform(n, 2**40, seed=11)
+        d = DynamicBinDict(keys, k)
+        assert reachable_bytes(d) <= 8 * len(d) + 256 * k
+        for op, x in gen_uniform_stream(keys, 3 * n // 2, seed=3).ops:
+            if op == OP_INSERT:
+                d.insert(x)
+            elif op == OP_DELETE:
+                d.delete(x)
+        assert d.ledger.count() >= 2
+        assert {type(b) for b in d._bins} <= {array, type(None)}
+        assert {b.typecode for b in d._bins if b is not None} == {"Q"}
+        assert reachable_bytes(d) <= 8 * len(d) + 256 * k
+
+    @pytest.mark.parametrize("k", [1, 4, 64])
+    def test_u64_ends_in_packed_bins(self, k):
+        d = DynamicBinDict([10, 20, 2**40], k)
+        mirror = [10, 20, 2**40]
+        for x in (0, MAX_KEY):
+            assert d.insert(x) is True
+            insort(mirror, x)
+        assert list(d) == mirror and [d.select(j) for j in range(len(d))] == mirror
+        for x in (-1, 0, 1, 10, MAX_KEY - 1, MAX_KEY, 2**64, 2**70):
+            pos = bisect_left(mirror, x)
+            assert d.rank_search(x) == (pos, pos < len(mirror) and mirror[pos] == x), x
+        updates = d.total_updates
+        for x in (-1, 2**64):
+            with pytest.raises(DictboostError, match="not an integer in the u64 range"):
+                d.insert(x)
+            assert list(d) == mirror and len(d) == len(mirror)
+            assert d.total_updates == updates
+
+    @pytest.mark.parametrize("x", [2**60 + 3, 2**60 - 2, MAX_KEY])
+    def test_an_out_of_range_key_lands_in_order_past_float_precision(self, x):
+        """Keys 1 apart at 2^60 share one float64, so placing the rebuild's
+        extra key by a float search would put ``2^60 + 3`` first."""
+        d = DynamicBinDict([2**60, 2**60 + 1], k=2)
+        assert not d.range_lo <= x <= d.range_hi
+        assert d.insert(x) is True
+        assert d.ledger.count(RebuildTrigger.OUT_OF_RANGE) == 1
+        assert list(d) == sorted([2**60, 2**60 + 1, x])
+        assert_keys_in_their_bins(d)
+
+    def test_a_drained_structure_rebuilds_empty_and_fills_again(self):
+        d = DynamicBinDict([5, 9], k=4)
+        assert d.delete(5) and d.delete(9)
+        assert d.ledger.count() == 2 and d.ledger.events[-1].elements_touched == 0
+        assert len(d) == 0 and list(d) == [] and d.rank_search(7) == (0, False)
+        assert d.insert(7) and d.insert(3)
+        assert list(d) == [3, 7] and d.rank_search(7) == (1, True)
 
 
 class TestProbeTypes:

@@ -21,6 +21,7 @@ from dictboost.streams import (
     StreamDivergenceError,
     UpdateStream,
     gen_adversarial_stream,
+    gen_hot_range_stream,
     gen_uniform_stream,
     replay_stream,
 )
@@ -101,6 +102,75 @@ class TestUniformStream:
         with pytest.raises(DictboostError):
             gen_uniform_stream(SortedKeySet([5]), 10)
         assert gen_uniform_stream(initial, 0).ops == ()
+
+
+def hot_range_setup(n=2000, k=16, width=2**20, seed=5):
+    """``n`` uniform keys in [0, 2^40) and a hot range of ``width`` keys
+    amid bin 5 of ``k``, the one bin its fresh build routes it to."""
+    initial = gen_uniform(n, 2**40, seed=seed)
+    lo, hi = initial.lo, initial.hi
+    hot_lo = lo + (hi - lo) * 11 // (2 * k)
+    geometry = DynamicBinDict(initial, k)._geometry
+    assert geometry.bin_of(hot_lo) == geometry.bin_of(hot_lo + width - 1) == 6
+    return initial, hot_lo
+
+
+class TestHotRangeStream:
+    def test_inserts_and_searches_stay_in_the_hot_range(self):
+        initial, hot_lo = hot_range_setup()
+        stream = gen_hot_range_stream(initial, hot_lo, seed=3)
+        assert stream.generator == "hot_range"
+        inserts = [x for op, x in stream.ops if op == OP_INSERT]
+        searches = [x for op, x in stream.ops if op == OP_SEARCH]
+        assert len(inserts) == len(initial) // 2 - 1
+        assert stream.ops[-1][0] == OP_INSERT
+        assert searches and all(hot_lo <= x < hot_lo + 2**20 for x in inserts + searches)
+        assert stream == gen_hot_range_stream(initial, hot_lo, seed=3)
+        assert stream != gen_hot_range_stream(initial, hot_lo, seed=4)
+
+    def test_deletes_always_target_present_keys(self):
+        initial, hot_lo = hot_range_setup(n=300)
+        stream = gen_hot_range_stream(initial, hot_lo, mix=(1, 3, 1), seed=2)
+        present = set(initial.as_list())
+        deletes = 0
+        for op, x in stream.ops:
+            if op == OP_INSERT:
+                present.add(x)
+            elif op == OP_DELETE:
+                assert x in present
+                present.remove(x)
+                deletes += 1
+        assert deletes > 100 and len(present) >= 2
+
+    def test_a_range_at_the_top_of_u64(self):
+        initial = SortedKeySet([0, 2**63, MAX_KEY - 2**10])
+        stream = gen_hot_range_stream(initial, MAX_KEY - 2**10 + 1, width=2**10, seed=1)
+        assert all(MAX_KEY - 2**10 < x <= MAX_KEY for _, x in stream.ops)
+        replay_stream(initial, 4, stream)
+
+    @pytest.mark.parametrize("hot_lo, width, mix", [
+        (-1, 16, (1, 1, 2)),
+        (MAX_KEY - 14, 16, (1, 1, 2)),
+        (0, 0, (1, 1, 2)),
+        (0, 16, (0, 1, 2)),
+        (0, 16, (1, -1, 2)),
+    ], ids=["below-u64", "past-u64", "no-width", "no-inserts", "negative-weight"])
+    def test_validation(self, hot_lo, width, mix):
+        with pytest.raises(DictboostError):
+            gen_hot_range_stream(SortedKeySet(TEN_KEYS), hot_lo, width, mix)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_replays_against_the_oracle_with_a_long_bin(self, seed):
+        """2k keys, k = 16: the hot bin grows past five times a uniform
+        bin's load, its keys shift on every update, and the gap-ratio
+        rebuilds recut bins that are packed arrays; every answer and the
+        final contents match the sorted-list oracle."""
+        initial, hot_lo = hot_range_setup()
+        stream = gen_hot_range_stream(initial, hot_lo, seed=seed)
+        result = replay_stream(initial, 16, stream)
+        assert result.report.rebuilds_delta_growth >= 1
+        assert result.report.rebuilds_out_of_range == 0
+        assert result.occupancy[1] >= 5 * len(initial) // 16
 
 
 class TestAdversarialStream:
