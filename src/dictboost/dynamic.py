@@ -211,7 +211,9 @@ class DynamicBinDict:
         counts = np.diff(starts)
         filled = np.flatnonzero(counts)
         self._bins: list[array | None] = [None] * self.k
-        raw = memoryview(arr).cast("B")  # frombytes takes only a byte view
+        # frombytes takes only a byte view, and a cast only a C-contiguous
+        # buffer: a strided key set's array is copied here, no other is
+        raw = memoryview(np.ascontiguousarray(arr)).cast("B")
         for b, i, j in zip(filled.tolist(), (8 * starts[filled]).tolist(),
                            (8 * starts[filled + 1]).tolist()):
             self._bins[b] = keys = array("Q")
@@ -221,11 +223,8 @@ class DynamicBinDict:
         self.updates_since_rebuild = 0
 
     def _rebuild(self, trigger: RebuildTrigger, extra: int | None = None) -> None:
-        # the views die with the list: an array that still exports its
-        # buffer refuses to resize, so its next insert would raise
         views = [np.frombuffer(keys, np.uint64) for keys in self._bins if keys]
         arr = np.concatenate(views) if views else np.empty(0, np.uint64)
-        del views
         if extra is not None:
             extra = np.uint64(extra)  # a Python int could promote the search to float64
             arr = np.insert(arr, np.searchsorted(arr, extra), extra)

@@ -442,6 +442,24 @@ class TestPackedBins:
         assert list(d) == sorted([2**60, 2**60 + 1, x])
         assert_keys_in_their_bins(d)
 
+    def test_a_strided_key_set_builds_and_searches(self):
+        """A read-only strided array is kept as it is by ``SortedKeySet``;
+        the build fills the bins from it all the same."""
+        arr = np.arange(0, 3000, 7, dtype=np.uint64)[::3]
+        arr.setflags(write=False)
+        sk = SortedKeySet(arr)
+        assert not sk.view.contiguous
+        keys = arr.tolist()
+        for k in (1, 17, 1000):
+            d = DynamicBinDict(sk, k)
+            assert list(d) == keys
+            assert_keys_in_their_bins(d)
+            for x in range(-1, 3010):
+                pos = bisect_left(keys, x)
+                assert d.rank_search(x) == (pos, pos < len(keys) and keys[pos] == x), x
+            assert d.insert(1) and d.delete(keys[-1])
+            assert list(d) == [keys[0], 1, *keys[1:-1]]
+
     def test_a_drained_structure_rebuilds_empty_and_fills_again(self):
         d = DynamicBinDict([5, 9], k=4)
         assert d.delete(5) and d.delete(9)
