@@ -45,6 +45,7 @@ from .dictionaries import (
 from .dynamic import (
     AmortizedReport,
     DynamicBinDict,
+    RankOutOfRangeError,
     RebuildLedger,
     RebuildTrigger,
     build_dynamic,
@@ -92,6 +93,7 @@ __all__ = [
     "InterpolationSearch",
     "InvalidKeySetError",
     "QueryWorkload",
+    "RankOutOfRangeError",
     "RebuildLedger",
     "RebuildTrigger",
     "SearchOutcome",

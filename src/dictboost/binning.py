@@ -32,7 +32,8 @@ from .core import DictboostError, SortedKeySet, _as_int
 from .dictionaries import IntervalModel
 
 # pinned model bytes per bin.  No bin holds fields of its own: its start
-# rank is one 8-byte entry of the model's int64 rank table, and the one
+# rank is one entry of the model's rank table, stored at the narrowest
+# unsigned width that holds n (4 bytes for 1M keys), and the one
 # dictionary the model holds answers every bin
 PER_BIN_HEADER_BYTES = 24
 

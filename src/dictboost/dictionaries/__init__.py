@@ -128,10 +128,11 @@ class IntervalModel:
     """A sorted key set cut into intervals at the ascending ranks
     ``starts`` (first 0, last ``n``), answered by one dictionary kind.
 
-    ``starts`` is one int64 array, 8 bytes per interval boundary, read
-    through a ``memoryview`` as the key set's ``view`` reads the keys:
-    indexing it gives a plain Python int, with no boxed int per interval
-    held between queries.
+    ``starts`` is kept as one array of the narrowest unsigned type that
+    holds ``n`` (``np.min_scalar_type``: 2 bytes per interval boundary for
+    up to 65,535 keys, 4 up to 2^32 - 1), read through a ``memoryview``
+    as the key set's ``view`` reads the keys: indexing it gives a plain
+    Python int, with no boxed int per interval held between queries.
 
     A subclass cuts the keys, sets ``HEADER_BYTES`` (model bytes per
     interval) and names the interval of a query with ``interval(x)``: the
@@ -148,7 +149,8 @@ class IntervalModel:
 
     def __init__(self, keys: SortedKeySet, starts: np.ndarray, dict_kind: str):
         self.keys = keys
-        self._starts = memoryview(starts)
+        # every rank is in [0, n], so the narrowest type holding n holds them
+        self._starts = memoryview(starts.astype(np.min_scalar_type(len(keys)), copy=False))
         self.dict_id, kind, params = _kind(dict_kind)
         self._dict = kind(keys.view, self._starts, *params)
         self._n = len(keys)

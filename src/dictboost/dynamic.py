@@ -18,10 +18,13 @@ the structure.  An update is one bisect plus an ``insert`` or ``del`` on
 the bin's array that shifts at most the bin's load of 8-byte slots (one C
 ``memmove``), and a Fenwick update over ``log2 k`` nodes.
 
-A build reads the key set's uint64 array, a rebuild one concatenated from
-the bins' buffers: one pass over its gaps gives the exact ratio and the
-starting gap bounds, and the geometry's rank table over it cuts the bins,
-each filled from its slice's bytes, so no Python int is made per key.
+A build reads the key set's uint64 array, a rebuild one ``b"".join`` of
+the bins' buffers, which in bin order are the sorted keys.  One
+``np.diff`` over it gives the exact ratio and the starting gap bounds; the
+order needs no second check.  The keys are then copied once into one
+packed ``array('Q')``, and the geometry's rank table cuts each non-empty
+bin as a slice of it: an exact-size copy, so a fresh bin holds no growth
+slack, and no Python int is made per key.
 
 Rebuilds fire when either
 * ``n/2`` effective updates have accumulated since the last rebuild
@@ -65,11 +68,16 @@ from .core import (
     MAX_KEY,
     SortedKeySet,
     _as_int,
-    gap_stats,
 )
 
 _NO_GAP_MIN = 1 << 80  # placeholder bounds while fewer than two keys exist
 _NO_GAP_MAX = 0
+
+
+class RankOutOfRangeError(DictboostError, IndexError):
+    """A rank outside ``[0, len)`` given to ``select``: an ``IndexError``
+    as a sequence raises, and a :class:`DictboostError` as every other
+    refused input of the structure."""
 
 
 class RebuildTrigger(enum.Enum):
@@ -158,10 +166,13 @@ class DynamicBinDict:
     """Insert/delete/search over equal-width bins of the key hull.
 
     Each bin is a sorted ``array('Q')`` of its keys, 8 bytes a key, or
-    ``None`` while no key has reached it since the last rebuild.
-    ``rank_search`` is the bin's Fenwick prefix plus one ``bisect_left`` in
-    its array, and ``select`` a Fenwick descent plus one array index;
-    neither mutates, so readers need no exclusive access.  An insert or
+    ``None`` while no key has reached it since the last rebuild; a build
+    or rebuild cuts every bin as an exact-size slice of one packed copy of
+    the keys.  ``rank_search`` is the bin's Fenwick prefix plus one
+    ``bisect_left`` in its array, and ``select`` a Fenwick descent plus
+    one array index; neither mutates, so readers need no exclusive access.
+    ``select`` admits its rank as an update admits a key and raises
+    :class:`RankOutOfRangeError` outside ``[0, len)``.  An insert or
     delete bisects once and shifts at most the bin's load of slots.
     """
 
@@ -188,9 +199,11 @@ class DynamicBinDict:
         sets the bounds and ``delta_hat = max(exact ratio, floor)``."""
         n = int(arr.size)
         if n >= 2:
-            gs = gap_stats(arr)
-            self._g_min_bound, self._g_max_bound = gs.g_min, gs.g_max
-            exact = gs.delta_exact
+            # the key set, or the bins' order, already holds the keys sorted
+            # and distinct, so every gap is positive: no re-validation
+            gaps = np.diff(arr)
+            self._g_min_bound, self._g_max_bound = int(gaps.min()), int(gaps.max())
+            exact = Fraction(self._g_max_bound, self._g_min_bound)
         else:
             self._g_min_bound, self._g_max_bound = _NO_GAP_MIN, _NO_GAP_MAX
             exact = Fraction(1)
@@ -208,23 +221,25 @@ class DynamicBinDict:
         # bins over the key hull, not the widened range: see the module docstring
         self._geometry = BinGeometry(lo, hi, self.k)
         starts = self._geometry.starts(arr)
+        # each non-empty bin is a slice of one packed copy of the keys: an
+        # exact-size copy, with no growth slack.  frombytes takes only a
+        # byte view, and a cast only a C-contiguous buffer: a strided key
+        # set's array is copied first, no other is
+        packed = array("Q")
+        packed.frombytes(memoryview(np.ascontiguousarray(arr)).cast("B"))
         counts = np.diff(starts)
         filled = np.flatnonzero(counts)
         self._bins: list[array | None] = [None] * self.k
-        # frombytes takes only a byte view, and a cast only a C-contiguous
-        # buffer: a strided key set's array is copied here, no other is
-        raw = memoryview(np.ascontiguousarray(arr)).cast("B")
-        for b, i, j in zip(filled.tolist(), (8 * starts[filled]).tolist(),
-                           (8 * starts[filled + 1]).tolist()):
-            self._bins[b] = keys = array("Q")
-            keys.frombytes(raw[i:j])
+        for b, i, j in zip(filled.tolist(), starts[filled].tolist(),
+                           starts[filled + 1].tolist()):
+            self._bins[b] = packed[i:j]
         self._fenwick = _Fenwick(counts)
         self.n_at_rebuild = n
         self.updates_since_rebuild = 0
 
     def _rebuild(self, trigger: RebuildTrigger, extra: int | None = None) -> None:
-        views = [np.frombuffer(keys, np.uint64) for keys in self._bins if keys]
-        arr = np.concatenate(views) if views else np.empty(0, np.uint64)
+        # the bins in order are the sorted keys: join their buffers once
+        arr = np.frombuffer(b"".join(filter(None, self._bins)), np.uint64)
         if extra is not None:
             extra = np.uint64(extra)  # a Python int could promote the search to float64
             arr = np.insert(arr, np.searchsorted(arr, extra), extra)
@@ -278,8 +293,9 @@ class DynamicBinDict:
         return base + i, i < len(keys) and keys[i] == x
 
     def select(self, j: int) -> int:
+        j = _as_int(j)
         if not 0 <= j < self._size:
-            raise IndexError(f"rank {j} out of range for size {self._size}")
+            raise RankOutOfRangeError(f"rank {j} out of range for size {self._size}")
         b, off = self._fenwick.select(j)
         return self._bins[b][off]
 

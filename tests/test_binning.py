@@ -172,14 +172,16 @@ class TestBinnedDictionary:
         assert fat.space_bytes() == 24 * 4 + 8 * len(TEN_KEYS)
         assert plain.space_overhead_pct() == pytest.approx(100.0 * 96 / 80)
 
-    def test_rank_table_is_eight_bytes_per_boundary(self):
+    def test_rank_table_is_its_narrowest_entries_per_boundary(self):
         """Beyond its key array, a binned model at k = n/10 reaches no more
-        than its 8-byte rank table entries and a fixed few objects, by a
-        ``sys.getsizeof`` walk over everything it refers to."""
+        than its rank table entries, 2 bytes each at 20k keys, and a fixed
+        few objects, by a ``sys.getsizeof`` walk over everything it refers
+        to."""
         keys = SortedKeySet(np.unique(np.random.default_rng(41).integers(0, 2**44, 20_000, dtype=np.uint64)))
         k = len(keys) // 10
         d = build_binning(keys, k)
-        assert reachable_bytes(d) - keys.array.nbytes <= 8 * (k + 1) + 4096
+        assert np.min_scalar_type(len(keys)).itemsize == 2
+        assert reachable_bytes(d) - keys.array.nbytes <= 2 * (k + 1) + 4096
 
     def test_route_is_order_preserving(self):
         sk = SortedKeySet(TEN_KEYS)

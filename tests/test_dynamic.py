@@ -14,6 +14,7 @@ Trigger isolation relies on two constructions used throughout:
 import importlib
 import math
 import random
+import sys
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
@@ -38,12 +39,15 @@ from dictboost.dynamic import (
     _NO_GAP_MAX,
     _NO_GAP_MIN,
     DynamicBinDict,
+    RankOutOfRangeError,
     RebuildTrigger,
     _Fenwick,
     build_dynamic,
 )
 
 from conftest import TEN_KEYS, bulk_rank, reachable_bytes
+
+EMPTY_ARRAY_BYTES = sys.getsizeof(array("Q"))
 
 
 
@@ -73,6 +77,19 @@ def fresh_interior_keys(present, count, lo, hi, seed):
 def bin_sizes(d):
     """Keys per bin, counted by walking each bin's array."""
     return [sum(1 for _ in keys) if keys is not None else 0 for keys in d._bins]
+
+
+def assert_fresh_bins(d, mirror):
+    """Every non-empty bin is exact-size, 8 bytes a key and no spare slot,
+    and the bins in order hold the mirror's keys."""
+    for b, keys in enumerate(d._bins):
+        if keys:
+            assert sys.getsizeof(keys) - EMPTY_ARRAY_BYTES == 8 * len(keys), f"bin {b}: {len(keys)} keys"
+    assert [x for keys in d._bins if keys is not None for x in keys] == mirror
+
+
+def has_slack(d):
+    return any(sys.getsizeof(keys) - EMPTY_ARRAY_BYTES > 8 * len(keys) for keys in d._bins if keys)
 
 
 def assert_keys_in_their_bins(d):
@@ -467,6 +484,110 @@ class TestPackedBins:
         assert len(d) == 0 and list(d) == [] and d.rank_search(7) == (0, False)
         assert d.insert(7) and d.insert(3)
         assert list(d) == [3, 7] and d.rank_search(7) == (1, True)
+
+
+class TestExactSizeBins:
+    """A build or rebuild copies the sorted keys once into one packed
+    array and cuts each non-empty bin as a slice of it: an exact-size
+    copy, so a fresh bin holds no growth slack."""
+
+    def test_a_build_cuts_exact_size_bins(self):
+        from dictboost import gen_uniform
+
+        keys = gen_uniform(20_000, 2**40, seed=11)  # the dynamic-mixed shape
+        for k in (1, 256, 4096):
+            assert_fresh_bins(DynamicBinDict(keys, k), keys.as_list())
+        strided = np.arange(0, 3000, 7, dtype=np.uint64)[::3]
+        strided.setflags(write=False)
+        assert_fresh_bins(DynamicBinDict(SortedKeySet(strided), 17), strided.tolist())
+
+    def test_an_update_count_rebuild_trims_the_grown_bins(self):
+        # gaps {1, 9, 10}: the ratio bound stays at 10, so only update-count fires
+        mirror = [0, 1] + list(range(10, 1001, 10))
+        d = DynamicBinDict(SortedKeySet(mirror), k=8)
+        fills = fresh_interior_keys(mirror, len(mirror) // 2, lo=10, hi=1000, seed=5)
+        for x in fills:
+            assert d.insert(x)
+            insort(mirror, x)
+            if not d.ledger.count():
+                assert has_slack(d)  # an insert grows its bin with spare slots
+        assert [e.trigger for e in d.ledger.events] == [RebuildTrigger.UPDATE_COUNT]
+        assert_fresh_bins(d, mirror)
+
+    def test_a_gap_ratio_rebuild_cuts_exact_size_bins(self):
+        # equal spacing 64 -> ratio 1; inserting one midpoint makes it 2
+        mirror = list(range(0, 64 * 20, 64))
+        d = DynamicBinDict(SortedKeySet(mirror), k=8)
+        assert d.insert(32)
+        insort(mirror, 32)
+        assert [e.trigger for e in d.ledger.events] == [RebuildTrigger.DELTA_GROWTH]
+        assert_fresh_bins(d, mirror)
+
+    @pytest.mark.parametrize("x", [0, 10**12, MAX_KEY])
+    def test_an_out_of_range_rebuild_cuts_exact_size_bins(self, x):
+        # gaps {1, 9, 10}: the two inserts below fire neither other trigger
+        lo = 10**6
+        mirror = [lo, lo + 1] + list(range(lo + 10, lo + 1000, 10))
+        d = DynamicBinDict(SortedKeySet(mirror), k=8)
+        for y in (lo + 505, lo + 507):
+            assert d.insert(y)
+            insort(mirror, y)
+        assert d.ledger.count() == 0 and has_slack(d)
+        assert d.insert(x)
+        insort(mirror, x)
+        assert [e.trigger for e in d.ledger.events] == [RebuildTrigger.OUT_OF_RANGE]
+        assert_fresh_bins(d, mirror)
+
+    def test_a_drained_structure_refills_with_exact_size_bins(self):
+        mirror = list(range(100, 1100, 10))
+        d = DynamicBinDict(SortedKeySet(mirror), k=16)
+        rng = random.Random(8)
+        for x in rng.sample(mirror, len(mirror)):
+            rebuilds = d.ledger.count()
+            assert d.delete(x)
+            mirror.remove(x)
+            if d.ledger.count() > rebuilds:
+                assert_fresh_bins(d, mirror)
+        assert len(d) == 0 and all(keys is None for keys in d._bins)
+        drained = d.ledger.count()
+        for x in fresh_interior_keys([], 300, lo=0, hi=10**6, seed=9):
+            rebuilds = d.ledger.count()
+            assert d.insert(x)
+            insort(mirror, x)
+            if d.ledger.count() > rebuilds:
+                assert_fresh_bins(d, mirror)
+        refills = d.ledger.events[drained:]
+        assert len(refills) >= 3 and refills[0].trigger is RebuildTrigger.OUT_OF_RANGE
+        assert_keys_in_their_bins(d)
+        assert list(d) == mirror
+
+
+class TestSelectErrors:
+    """``select`` admits its rank as ``insert``, ``delete`` and
+    ``rank_search`` admit a key, and refuses a rank outside ``[0, len)``
+    with an error that is both a ``DictboostError`` and an ``IndexError``."""
+
+    @pytest.mark.parametrize("j", [1.0, 1.5, "1", None], ids=["float", "fraction", "str", "none"])
+    def test_a_non_integer_rank_raises(self, j):
+        d = DynamicBinDict([1, 2, 4, 8], k=2)
+        with pytest.raises(DictboostError, match="not an integer") as raised:
+            d.select(j)
+        assert not isinstance(raised.value, TypeError)
+
+    @pytest.mark.parametrize("j", [-1, 4, np.int64(-1), np.int64(4), 2**64],
+                             ids=["minus-one", "len", "np-minus-one", "np-len", "u64-end"])
+    def test_an_out_of_range_rank_raises_one_class(self, j):
+        d = DynamicBinDict([1, 2, 4, 8], k=2)
+        with pytest.raises(RankOutOfRangeError, match="out of range") as raised:
+            d.select(j)
+        assert isinstance(raised.value, DictboostError) and isinstance(raised.value, IndexError)
+
+    def test_numpy_ranks_select_like_ints(self):
+        d = DynamicBinDict([1, 2, 4, 8], k=2)
+        for j in range(len(d)):
+            for typed in (np.int64(j), np.uint64(j), np.int32(j)):
+                got = d.select(typed)
+                assert got == d.select(j) == [1, 2, 4, 8][j] and type(got) is int
 
 
 class TestProbeTypes:

@@ -9,6 +9,7 @@ or directly on the window), never against another search of this package.
 
 import copy
 import pickle
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -338,3 +339,41 @@ def test_models_hold_no_per_key_object(monkeypatch):
     for label, d in models.items():
         per_key = structure_bytes(d) / n
         assert per_key <= 16, f"{label}: {per_key:.1f} bytes per key"
+
+
+@pytest.mark.parametrize("n", [200, 60_000, 70_000])
+def test_rank_table_is_the_narrowest_unsigned_type(n):
+    """Both models keep their rank table as ``np.min_scalar_type(n)``
+    (uint8, uint16 and uint32 here), read as plain ints: over keys at
+    both u64 ends, their answers at the extremes, at window edges and at
+    sampled keys equal ``np.searchsorted``'s, also after a pickle and a
+    ``deepcopy``.  ``bin_starts`` still returns int64, and the table owns
+    its entries' width in bytes each, by ``sys.getsizeof``."""
+    rng = np.random.default_rng(n)
+    arr = np.unique(np.concatenate([
+        np.array([0, 1, MAX_KEY - 1, MAX_KEY], dtype=np.uint64),
+        rng.integers(2, MAX_KEY - 1, size=n - 4, dtype=np.uint64)]))
+    assert arr.size == n
+    keys = SortedKeySet(arr)
+    width = np.min_scalar_type(n)
+    assert bin_starts(keys, n // 10).dtype == np.int64
+    models = {"binning": build_binning(keys, n // 10), "segments": build_segments(keys, 16)}
+    for label, d in models.items():
+        starts = np.asarray(d._starts)
+        assert starts.dtype == width and starts[-1] == n, label
+        assert type(d._starts[-1]) is int, label
+        # window edges: the keys on either side of every boundary, sampled
+        edges = np.unique(starts[1:-1])[:: max(1, len(starts) // 500)]
+        ranks = np.unique(np.concatenate([edges, edges - 1, rng.integers(0, n, 500), [0, n - 1]]))
+        inside = [int(arr[r]) + dx for r in ranks.tolist() for dx in (-1, 0, 1)]
+        inside = [x for x in inside if 0 <= x <= MAX_KEY]
+        want = np.searchsorted(arr, np.array(inside, dtype=np.uint64)).tolist()
+        want = [(r, r < n and int(arr[r]) == x) for r, x in zip(want, inside)]
+        want += [(0, False), (n, False), (n, False)]
+        probes = inside + [-1, 2**64, 2**70]
+        for c in (d, pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+            assert np.asarray(c._starts).dtype == width, label
+            assert [c.rank_search(x) for x in probes] == want, label
+        table = d._starts.obj
+        assert table.base is None, label
+        assert sys.getsizeof(table) - sys.getsizeof(np.empty(0, width)) == len(starts) * width.itemsize
