@@ -106,6 +106,7 @@ def bin_starts(keys: SortedKeySet, k: int) -> np.ndarray:
     n = len(keys)
     if n == 0:
         raise DictboostError("cannot bin an empty key set")
+    k = _as_int(k)
     if not 1 <= k <= n:
         raise DictboostError(f"bin count {k} outside [1, n={n}]")
     return BinGeometry(keys.lo, keys.hi, k).starts(keys.array)
@@ -130,6 +131,7 @@ class BinnedDictionary(IntervalModel, BinGeometry):
     interval = route = BinGeometry.bin_of
 
     def __init__(self, keys: SortedKeySet, k: int, dict_kind: str = "bbs"):
+        k = _as_int(k)
         BinGeometry.__init__(self, keys.lo, keys.hi, k)
         IntervalModel.__init__(self, keys, bin_starts(keys, k), dict_kind)
 

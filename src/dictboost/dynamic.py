@@ -183,9 +183,10 @@ class DynamicBinDict:
                 raise InvalidKeySetError(f"keys must be distinct: {duplicates} duplicates")
         if len(keys) < 2:
             raise DictboostError("dynamic build needs at least two initial keys")
+        k = _as_int(k)
         if k < 1:
             raise DictboostError(f"bin count must be >= 1, got {k}")
-        self.k = int(k)
+        self.k = k
         self.ledger = RebuildLedger()
         self.total_updates = 0
         self._delta_max = Fraction(0)

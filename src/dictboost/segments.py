@@ -11,29 +11,39 @@ The builder keeps the feasible slope interval for the anchored line and
 closes the segment when a new point empties it (the standard one-pass
 greedy; the result is maximal for this policy, not globally minimal).
 Because predictions are evaluated in floating point, the chosen slope is
-re-verified against every member with that formula, the one
+re-verified against the members with that formula, the one
 ``Segment.predict_rank`` and ``max_residual`` evaluate, and the segment is
 cut just before the first violation, which makes the eps guarantee
-unconditional rather than subject to rounding luck.
+unconditional rather than subject to rounding luck.  A slope strictly
+inside the interval cannot violate it: every member's bounds are
+correctly rounded quotients, so such a slope times the member's exact
+distance lies strictly between the integer limits of its rank, and its
+rounded product cannot pass them.  The re-verification therefore runs
+only for a slope on an end of the interval (always at eps 0, where each
+member admits one slope), or for a segment that spans more than 2**53 or
+an eps past float precision.
 
 The fit is one pass, chunked.  After a short segment, the next one's
 first few dozen candidates are taken one at a time in Python, so short
 segments (small eps) pay no numpy call overhead; after a segment longer
 than that head, numpy takes the next from its first candidate.  The
-candidates go to numpy in doubling chunks, the first of them half as long
-as the previous segment (``_FIRST_CHUNK`` at least), so a fit whose
-segments have like lengths makes few chunks per segment: each chunk's
-bounds ``(off -+ eps) / d`` come from one division, the running interval
-from ``maximum.accumulate`` / ``minimum.accumulate`` seeded with the
-carried ends, and the closing point is the first index where they cross;
-the re-verification of a long segment is one vector pass too.  Once the
-interval is a single slope it can only keep it or empty, so growth stops
-at the first member that slope misses, where the re-verification would
-cut anyway: evenly spaced keys whose slope rounds down then fit in linear
-time, not quadratic.  The floats are bit for bit those of the
-one-key-at-a-time loop, however the candidates are chunked: numpy
-evaluates only distances up to 2**53, which a float64 holds exactly, and
-leaves the rest of a segment wider than that to the scalar loop.
+candidates go to numpy in doubling chunks, the first of them 1.5 times as
+long as the previous segment (``_FIRST_CHUNK`` at least), so a fit whose
+segments have like lengths mostly closes a segment in its first chunk.  A
+chunk takes one subtraction for its distances and one division for both
+bounds ``-(t + eps) / d`` and ``(t - eps) / d``, over offsets ``t`` sliced
+from one ramp per fit; with the upper bound negated, both ends of the
+interval shrink by a running maximum.  The maximum of each block of
+``_BLOCK`` bounds, accumulated over the blocks, finds the block where the
+interval empties, and only that block is accumulated element by element.
+Once the interval is a single slope it can only keep it or empty, so
+growth stops at the first member that slope misses, where the
+re-verification would cut anyway: evenly spaced keys whose slope rounds
+down then fit in linear time, not quadratic.  The floats are bit for bit
+those of the one-key-at-a-time loop, however the candidates are chunked:
+numpy evaluates only distances up to 2**53, which a float64 holds
+exactly, and leaves the rest of a segment wider than that to the scalar
+loop.
 
 Queries ignore the predictions entirely: a binary search over the
 segments' first keys picks the interval (the first segment for a query
@@ -54,12 +64,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DictboostError, SortedKeySet
+from .core import DictboostError, SortedKeySet, _as_int
 from .dictionaries import IntervalModel
 
 PER_SEGMENT_BYTES = 48  # pinned header; routing key + (first_key, slope, start, end) take 40
 _SCALAR_HEAD = 32  # candidates grown in Python after a segment no longer than this
 _FIRST_CHUNK = 256  # least first numpy chunk; each next one is twice as long
+_BLOCK = 64  # bounds per block maximum; only the block that empties the cone is accumulated
 _EXACT_SPAN = 2**53  # every integer up to it is exact in a float64
 
 
@@ -91,7 +102,9 @@ def _fit_segments(ks: SortedKeySet | Sequence[int] | np.ndarray, eps: int) -> li
     """
     arr = ks.array if isinstance(ks, SortedKeySet) else np.ascontiguousarray(ks, dtype=np.uint64)
     keys = memoryview(arr)  # Python ints for the scalar steps, with no list copy
+    fit = _Scratch(arr, eps)
     n = len(keys)
+    exact_limits = n + eps <= _EXACT_SPAN  # every rank limit t -+ eps is a float
     segs: list[Segment] = []
     i = prev = 0  # prev: the length of the last segment
     while i < n:
@@ -118,40 +131,89 @@ def _fit_segments(ks: SortedKeySet | Sequence[int] | np.ndarray, eps: int) -> li
             # the head fit whole: numpy takes the candidates whose distance
             # is exact, and this loop the rest
             exact = max(j, _exact_stop(arr, i, n, eps))
-            first = max(_FIRST_CHUNK, prev // 2)
-            j, slope_lo, slope_hi = _shrink_chunks(arr, i, j, exact, eps, slope_lo, slope_hi, first)
+            first = max(_FIRST_CHUNK, prev + prev // 2)
+            j, slope_lo, slope_hi = _shrink_chunks(fit, i, j, exact, slope_lo, slope_hi, first)
             if j < exact:
                 break
             stop = n
         # after one member both interval ends are finite; an anchor with no
         # member predicts its own rank regardless of slope
         slope = 0.0 if slope_hi == math.inf else (slope_lo + slope_hi) / 2.0
-        # float re-verification with the query-time formula; cut before the
-        # first member the rounded prediction misses by more than eps
         end = j
-        numpy_end = i + 1  # members below it are checked in numpy
-        if j - numpy_end > _SCALAR_HEAD:
-            numpy_end = max(numpy_end, _exact_stop(arr, i, j, eps))
-            miss = _first_miss(arr, i, numpy_end, slope, eps)
-            if miss < numpy_end:
-                end = miss
-        for v in range(numpy_end, end):
-            if abs(math.floor(slope * (keys[v] - x0)) + i - v) > eps:
-                end = v
-                break
+        # a member at offset t and distance d has bounds lo_t <= slope_lo
+        # and hi_t >= slope_hi, the correctly rounded (t -+ eps) / d.  A
+        # float strictly between the ends is above lo_t, so above (t - eps)
+        # / d itself, and likewise below (t + eps) / d: slope * d lies
+        # strictly between the integers t -+ eps.  Rounding is monotone, so
+        # when d and both integers are exact floats the rounded product
+        # stays within them, and the re-verification would cut nothing.
+        if not (slope_lo < slope < slope_hi and exact_limits and keys[j - 1] - x0 <= _EXACT_SPAN):
+            # float re-verification with the query-time formula; cut before
+            # the first member the rounded prediction misses by more than eps
+            numpy_end = i + 1  # members below it are checked in numpy
+            if j - numpy_end > _SCALAR_HEAD:
+                numpy_end = max(numpy_end, _exact_stop(arr, i, j, eps))
+                miss = _first_miss(arr, i, numpy_end, slope, eps)
+                if miss < numpy_end:
+                    end = miss
+            for v in range(numpy_end, end):
+                if abs(math.floor(slope * (keys[v] - x0)) + i - v) > eps:
+                    end = v
+                    break
         segs.append(Segment(x0, slope, i, end))
         prev, i = end - i, end
     return segs
 
 
-def _shrink_chunks(
-    arr: np.ndarray, i: int, j: int, stop: int, eps: int, lo: float, hi: float, size: int
-):
+class _Scratch:
+    """The float64 work arrays of one fit.  They grow with its longest
+    chunk, up to the key count; none is sized by eps.
+
+    - ``offs[0, t] = -(t + eps)`` and ``offs[1, t] = t - eps``: divided by
+      the distance of the candidate at offset ``t`` from the anchor, the
+      upper bound of the slope negated, and the lower bound;
+    - ``dist``: a chunk's distances;
+    - ``run``: a chunk's two rows of bounds, behind the carried interval;
+    - ``blocks``: the first column of each ``_BLOCK`` of ``run``.
+    """
+
+    def __init__(self, arr: np.ndarray, eps: int):
+        self.arr, self.eps = arr, eps
+        self.cap = 0
+
+    def bounds(self, i: int, j: int, b: int, lo: float, hi: float) -> np.ndarray:
+        """``run`` for the candidates ``[j, b)`` of the segment anchored at
+        ``i``, which carries the interval ``[lo, hi]``: column 0 holds
+        ``(-hi, lo)``, and column ``1 + c`` the bounds of candidate ``j +
+        c``.  Exact below ``_exact_stop``."""
+        if b - i > self.cap:
+            self._grow(b - i)
+        dist = np.subtract(self.arr[j:b], self.arr[i], out=self.dist[:b - j], casting="unsafe")
+        run = self.run[:, :b - j + 1]
+        run[0, 0], run[1, 0] = -hi, lo
+        np.divide(self.offs[:, j - i:b - i], dist, out=run[:, 1:])
+        return run
+
+    def _grow(self, size: int) -> None:
+        self.cap = cap = min(max(size, 2 * self.cap), self.arr.size)
+        t = np.arange(cap, dtype=np.float64)
+        self.offs = np.stack([-(t + self.eps), t - self.eps])
+        self.dist = np.empty(cap)
+        self.run = np.empty((2, cap))
+        self.blocks = np.arange(0, cap, _BLOCK)
+
+
+def _shrink_chunks(fit: _Scratch, i: int, j: int, stop: int, lo: float, hi: float, size: int):
     """The scalar cone steps of ``_fit_segments`` for the candidates ``[j,
     stop)`` of the segment anchored at rank ``i``, in numpy over chunks of
     ``size`` candidates, then twice, four times that and so on: ``(j, lo,
     hi)`` with ``j`` the first candidate that does not fit (``stop`` if all
     do) and the interval of the members before it.
+
+    With the upper bounds negated, both ends of the interval shrink by a
+    running maximum.  The maximum of each ``_BLOCK`` of a chunk's bounds,
+    accumulated over the blocks, finds the block where the interval
+    empties, and only that block is accumulated element by element.
 
     Once the interval is one slope (``lo == hi``) it stays that slope or
     empties, so that slope is the segment's: growth then stops at the first
@@ -165,25 +227,28 @@ def _shrink_chunks(
     """
     while j < stop:
         if lo == hi:
-            miss = _first_miss(arr, i, j, lo, eps)
+            miss = _first_miss(fit.arr, i, j, lo, fit.eps)
             if miss < j:
                 return miss, lo, hi
         b = min(stop, j + size)
-        d = (arr[j:b] - arr[i]).astype(np.float64)
-        run_lo = np.arange(j - i - eps, b - i - eps, dtype=np.float64) / d
-        run_hi = np.arange(j - i + eps, b - i + eps, dtype=np.float64) / d
-        run_lo[0] = max(run_lo[0], lo)  # seed with the carried interval
-        run_hi[0] = min(run_hi[0], hi)
-        np.maximum.accumulate(run_lo, out=run_lo)
-        np.minimum.accumulate(run_hi, out=run_hi)
-        cross = np.flatnonzero(run_lo > run_hi)
-        if cross.size:
-            k = int(cross[0])
-            if k:
-                lo, hi = float(run_lo[k - 1]), float(run_hi[k - 1])
-            return j + k, lo, hi
-        j, lo, hi = b, float(run_lo[-1]), float(run_hi[-1])
-        size *= 2
+        run = fit.bounds(i, j, b, lo, hi)
+        tops = np.maximum.reduceat(run, fit.blocks[:-(-run.shape[1] // _BLOCK)], axis=1)
+        np.maximum.accumulate(tops, axis=1, out=tops)
+        # lo > hi, exactly: a float sum is 0 only for opposite addends, so
+        # it has the sign of the exact sum
+        crossed = tops[0] + tops[1] > 0
+        k = int(crossed.argmax())
+        if not crossed[k]:
+            j, lo, hi = b, float(tops[1, -1]), -float(tops[0, -1])
+            size *= 2
+            continue
+        s = 0
+        if k:  # carry the interval of the blocks before into block k
+            s = k * _BLOCK - 1
+            run[:, s] = tops[:, k - 1]
+        block = np.maximum.accumulate(run[:, s:(k + 1) * _BLOCK], axis=1)
+        p = int((block[0] + block[1] > 0).argmax())  # >= 1: column 0 is feasible
+        return j + s + p - 1, float(block[1, p - 1]), -float(block[0, p - 1])
     return j, lo, hi
 
 
@@ -217,11 +282,12 @@ class SegmentedDictionary(IntervalModel):
     HEADER_BYTES = PER_SEGMENT_BYTES
 
     def __init__(self, keys: SortedKeySet, eps: int, dict_kind: str = "bbs"):
+        eps = _as_int(eps)
         if eps < 0:
             raise DictboostError(f"eps must be >= 0, got {eps}")
         if not len(keys):
             raise DictboostError("cannot segment an empty key set")
-        self.segments = _fit_segments(keys, int(eps))
+        self.segments = _fit_segments(keys, eps)
         self._firsts = [s.first_key for s in self.segments]
         starts = np.array([s.start_rank for s in self.segments] + [len(keys)], dtype=np.int64)
         super().__init__(keys, starts, dict_kind)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from dictboost import segments
 from dictboost.core import MAX_KEY, DictboostError, SearchOutcome, SortedKeySet
 from dictboost.segments import Segment, SegmentedDictionary, _fit_segments, build_segments
-from dictboost.workloads import gen_uniform
+from dictboost.workloads import gen_clustered, gen_uniform
 
 from conftest import TEN_KEYS, assert_matches_oracle, bulk_rank, mixed_queries
 
@@ -243,6 +243,63 @@ class TestChunkedFit:
         raw = fit_key_sets()["u64-extremes-1"]
         for eps in [2**53, 3**40]:
             assert bits(_fit_segments(raw, eps)) == bits(reference_fit(raw.tolist(), eps))
+
+
+def benchmark_keys(seed: int) -> np.ndarray:
+    """The ``clustered-segments`` benchmark's key shape at 50k keys."""
+    return gen_clustered(50_000, 0.001, seed, spread=1000).array
+
+
+class TestLeanFit:
+    """The chunk and re-verification work of the fit, mostly on the
+    benchmark's key shape: most segments close in their first chunk, and a
+    slope strictly inside its interval is not re-verified."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("eps", [4, 16, 64])
+    def test_benchmark_shape_equals_the_scalar_loop(self, seed, eps):
+        raw = benchmark_keys(seed)
+        assert bits(_fit_segments(SortedKeySet(raw), eps)) == bits(reference_fit(raw.tolist(), eps))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_few_chunks_and_no_re_verification(self, seed):
+        """At eps 16 the segments run ~900 keys.  A first chunk 1.5 times
+        the last segment closes most of them in one chunk (half the last
+        segment, then doubling, took ~2.1 chunks a segment), and every
+        slope falls strictly inside its interval, where no member can miss:
+        no segment is re-verified (each was, in one more numpy pass over
+        its keys)."""
+        raw = benchmark_keys(seed)
+        chunks, candidates, verified = [0], [0], [0]
+        bounds, first_miss = segments._Scratch.bounds, segments._first_miss
+
+        def counting_bounds(fit, i, j, b, lo, hi):
+            chunks[0] += 1
+            candidates[0] += b - j
+            return bounds(fit, i, j, b, lo, hi)
+
+        def counting_miss(*args):
+            verified[0] += 1
+            return first_miss(*args)
+
+        with mock.patch.object(segments._Scratch, "bounds", counting_bounds), \
+                mock.patch.object(segments, "_first_miss", counting_miss):
+            segs = _fit_segments(raw, 16)
+        assert bits(segs) == bits(reference_fit(raw.tolist(), 16))
+        assert chunks[0] <= 1.4 * len(segs)
+        assert candidates[0] <= 2.25 * len(raw)
+        assert verified[0] == 0
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_a_short_segment_after_a_long_one_is_verified_whole(self, seed):
+        """numpy grows the segment after a long one; when it closes short,
+        the scalar re-verification still starts at its first member."""
+        raw = swing_keys(seed)
+        segs = _fit_segments(raw, 0)
+        lens = [len(s) for s in segs]
+        assert any(a > 2 * segments._FIRST_CHUNK and b <= segments._SCALAR_HEAD
+                   for a, b in zip(lens, lens[1:]))
+        assert bits(segs) == bits(reference_fit(raw.tolist(), 0))
 
 
 class TestSegmentStructure:
