@@ -31,12 +31,6 @@ import numpy as np
 from .core import DictboostError, SortedKeySet, _as_int
 from .dictionaries import IntervalModel
 
-# pinned model bytes per bin.  No bin holds fields of its own: its start
-# rank is one entry of the model's rank table, stored at the narrowest
-# unsigned width that holds n (4 bytes for 1M keys), and the one
-# dictionary the model holds answers every bin
-PER_BIN_HEADER_BYTES = 24
-
 # b * r <= k * r stays below this in BinGeometry.uppers, so no u64 product
 # there can wrap; as r < k, only a geometry of over 2**31 bins goes past it
 _U64_PRODUCT_LIMIT = 2**62
@@ -124,10 +118,11 @@ class BinnedDictionary(IntervalModel, BinGeometry):
     ``BinnedDictionary`` with ``k == 1`` answers bit-identically to the
     plain dictionary over all the keys.  It is its own :class:`BinGeometry`:
     the 1-based bin of ``x`` is both the interval that answers it and the
-    model's O(1) prediction ``route(x)``.
+    model's O(1) prediction ``route(x)``.  No bin holds fields of its own,
+    so the model's bytes are its rank table: one entry per bin boundary,
+    at the narrowest unsigned width that holds n (4 bytes at 1M keys).
     """
 
-    HEADER_BYTES = PER_BIN_HEADER_BYTES
     interval = route = BinGeometry.bin_of
 
     def __init__(self, keys: SortedKeySet, k: int, dict_kind: str = "bbs"):

@@ -134,18 +134,19 @@ class IntervalModel:
     as the key set's ``view`` reads the keys: indexing it gives a plain
     Python int, with no boxed int per interval held between queries.
 
-    A subclass cuts the keys, sets ``HEADER_BYTES`` (model bytes per
-    interval) and names the interval of a query with ``interval(x)``: the
-    ``j`` whose window ``keys[starts[j-1]:starts[j]]`` answers the int
-    ``x``.  Routing is total: a query below the keys goes to the first
-    interval, which holds the smallest key and so answers rank 0, and one
-    above them to the last, which holds the largest and answers ``n``.
-    The dictionary kind ``dict_kind``, a spec string, is built once over
-    all those windows of the key set's ``view``, which was checked when
-    the key set was made; no per-key object is made.
-    """
+    A subclass cuts the keys and names the interval of a query with
+    ``interval(x)``: the ``j`` whose window ``keys[starts[j-1]:starts[j]]``
+    answers the int ``x``.  Routing is total: a query below the keys goes
+    to the first interval, which holds the smallest key and so answers
+    rank 0, and one above them to the last, which holds the largest and
+    answers ``n``.  The dictionary kind ``dict_kind``, a spec string, is
+    built once over all those windows of the key set's ``view``, which was
+    checked when the key set was made; no per-key object is made.
 
-    HEADER_BYTES: int
+    ``space_bytes`` is measured, not charged per interval: the bytes of the
+    buffers the model holds (the rank table, and whatever a subclass adds
+    to it) plus the dictionary's ``overhead_bytes``.
+    """
 
     def __init__(self, keys: SortedKeySet, starts: np.ndarray, dict_kind: str):
         self.keys = keys
@@ -199,9 +200,9 @@ class IntervalModel:
         return len(self._starts) - 1
 
     def space_bytes(self) -> int:
-        """Model overhead only: per-interval headers plus whatever the
+        """Model overhead only: the rank table's bytes plus whatever the
         dictionary keeps beyond one flat key array."""
-        return self.HEADER_BYTES * self.intervals + self._dict.overhead_bytes()
+        return self._starts.nbytes + self._dict.overhead_bytes()
 
     def space_overhead_pct(self) -> float:
         return 100.0 * self.space_bytes() / (KEY_BYTES * self._n)

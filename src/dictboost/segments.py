@@ -12,7 +12,8 @@ closes the segment when a new point empties it (the standard one-pass
 greedy; the result is maximal for this policy, not globally minimal).
 Because predictions are evaluated in floating point, the chosen slope is
 re-verified against the members with that formula, the one
-``Segment.predict_rank`` and ``max_residual`` evaluate, and the segment is
+``Segment.predict_rank`` and the model's ``predict_rank`` and
+``max_residual`` evaluate, and the segment is
 cut just before the first violation, which makes the eps guarantee
 unconditional rather than subject to rounding luck.  A slope strictly
 inside the interval cannot violate it: every member's bounds are
@@ -45,6 +46,12 @@ numpy evaluates only distances up to 2**53, which a float64 holds
 exactly, and leaves the rest of a segment wider than that to the scalar
 loop.
 
+The fit yields each segment's start rank and slope, appended to two
+lists; ``_fit_segments`` returns them as ``Segment`` records, and
+``SegmentedDictionary`` holds them as arrays, with no object per segment:
+the first keys as one list, the slopes as one float64 array and the start
+ranks as its rank table.
+
 Queries ignore the predictions entirely: a binary search over the
 segments' first keys picks the interval (the first segment for a query
 below every key, which its window answers with rank 0), and the
@@ -58,6 +65,7 @@ nothing recursive.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -67,7 +75,6 @@ import numpy as np
 from .core import DictboostError, SortedKeySet, _as_int
 from .dictionaries import IntervalModel
 
-PER_SEGMENT_BYTES = 48  # pinned header; routing key + (first_key, slope, start, end) take 40
 _SCALAR_HEAD = 32  # candidates grown in Python after a segment no longer than this
 _FIRST_CHUNK = 256  # least first numpy chunk; each next one is twice as long
 _BLOCK = 64  # bounds per block maximum; only the block that empties the cone is accumulated
@@ -101,11 +108,24 @@ def _fit_segments(ks: SortedKeySet | Sequence[int] | np.ndarray, eps: int) -> li
     of itself, which cannot flip that sign while eps < 2**53).
     """
     arr = ks.array if isinstance(ks, SortedKeySet) else np.ascontiguousarray(ks, dtype=np.uint64)
+    starts, slopes = _fit(arr, eps)
+    return _as_segments(arr[starts].tolist(), slopes, starts + [arr.size])
+
+
+def _as_segments(firsts: list[int], slopes: list[float], starts: list[int]) -> list[Segment]:
+    """``Segment`` records of a fit held as lists; ``starts`` ends with n."""
+    return [Segment(*seg) for seg in zip(firsts, slopes, starts, starts[1:])]
+
+
+def _fit(arr: np.ndarray, eps: int) -> tuple[list[int], list[float]]:
+    """The segments of the sorted uint64 keys ``arr`` as two lists: each
+    segment's start rank and its slope (see ``_fit_segments``)."""
     keys = memoryview(arr)  # Python ints for the scalar steps, with no list copy
     fit = _Scratch(arr, eps)
     n = len(keys)
     exact_limits = n + eps <= _EXACT_SPAN  # every rank limit t -+ eps is a float
-    segs: list[Segment] = []
+    starts: list[int] = []
+    slopes: list[float] = []
     i = prev = 0  # prev: the length of the last segment
     while i < n:
         x0 = keys[i]
@@ -160,9 +180,10 @@ def _fit_segments(ks: SortedKeySet | Sequence[int] | np.ndarray, eps: int) -> li
                 if abs(math.floor(slope * (keys[v] - x0)) + i - v) > eps:
                     end = v
                     break
-        segs.append(Segment(x0, slope, i, end))
+        starts.append(i)
+        slopes.append(slope)
         prev, i = end - i, end
-    return segs
+    return starts, slopes
 
 
 class _Scratch:
@@ -277,9 +298,12 @@ def _exact_stop(arr: np.ndarray, i: int, stop: int, eps: int) -> int:
 
 class SegmentedDictionary(IntervalModel):
     """Epsilon-segmented key set: route by first-key binary search, then
-    answer on the segment's window of the key set."""
+    answer on the segment's window of the key set.
 
-    HEADER_BYTES = PER_SEGMENT_BYTES
+    The segments are held as arrays, with no object per segment: the
+    first keys as the list ``_firsts`` that routing bisects (``bisect_right``
+    over a list beats one over a uint64 memoryview), the slopes as one
+    float64 array, and the start ranks as the model's rank table."""
 
     def __init__(self, keys: SortedKeySet, eps: int, dict_kind: str = "bbs"):
         eps = _as_int(eps)
@@ -287,10 +311,15 @@ class SegmentedDictionary(IntervalModel):
             raise DictboostError(f"eps must be >= 0, got {eps}")
         if not len(keys):
             raise DictboostError("cannot segment an empty key set")
-        self.segments = _fit_segments(keys, eps)
-        self._firsts = [s.first_key for s in self.segments]
-        starts = np.array([s.start_rank for s in self.segments] + [len(keys)], dtype=np.int64)
-        super().__init__(keys, starts, dict_kind)
+        starts, slopes = _fit(keys.array, eps)
+        self._firsts = keys.array[starts].tolist()
+        self._slopes = np.array(slopes, dtype=np.float64)
+        super().__init__(keys, np.array(starts + [len(keys)], dtype=np.int64), dict_kind)
+
+    @property
+    def segments(self) -> list[Segment]:
+        """The fit as ``Segment`` records, built from the arrays on each read."""
+        return _as_segments(self._firsts, self._slopes.tolist(), self._starts.tolist())
 
     def interval(self, x: int) -> int:
         """1-based: the count of segments whose first key is <= ``x``, or
@@ -302,12 +331,14 @@ class SegmentedDictionary(IntervalModel):
         return bisect_right(self._firsts, x) - 1
 
     def predict_rank(self, x: int) -> int:
-        """Model prediction for diagnostics; queries never rely on it."""
-        return self.segments[self.interval(x) - 1].predict_rank(x)
+        """Model prediction for diagnostics; queries never rely on it.  The
+        formula of ``Segment.predict_rank``, on a Python float slope."""
+        s = self.interval(x) - 1
+        return math.floor(float(self._slopes[s]) * (x - self._firsts[s])) + self._starts[s]
 
     @property
     def segment_count(self) -> int:
-        return len(self.segments)
+        return len(self._firsts)
 
     def routing_steps(self) -> int:
         """Comparisons the routing binary search needs: ceil(log2 segments)."""
@@ -317,11 +348,19 @@ class SegmentedDictionary(IntervalModel):
         """Largest |prediction - rank| over all keys (<= eps by contract),
         by ``Segment.predict_rank``'s float formula over whole arrays."""
         lens = np.diff(self._starts)
-        first = np.repeat(np.array(self._firsts, dtype=np.uint64), lens)
-        slope = np.repeat([s.slope for s in self.segments], lens)
+        first = np.repeat(self.keys.array[self._starts[:-1]], lens)
+        slope = np.repeat(self._slopes, lens)
         offset = np.arange(self._n) - np.repeat(self._starts[:-1], lens)
         pred = np.floor(slope * (self.keys.array - first).astype(np.float64))
         return int(np.abs(pred - offset).max())
+
+    def space_bytes(self) -> int:
+        """The rank table, the slopes, the first-key list with its ints, and
+        the dictionary's overhead.  The list counts one pointer per segment,
+        as built; one grown by appends, as unpickling grows it, holds spare
+        slots beyond them."""
+        firsts = sys.getsizeof([]) + 8 * len(self._firsts) + sum(map(sys.getsizeof, self._firsts))
+        return super().space_bytes() + self._slopes.nbytes + firsts
 
 
 build_segments = SegmentedDictionary.build

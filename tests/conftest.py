@@ -36,6 +36,16 @@ def reachable_bytes(obj: object) -> int:
     return total
 
 
+def held_bytes(*objs: object) -> int:
+    """The bytes a ``reachable_bytes`` walk finds in ``objs``, less one
+    bare array header for each numpy array among them: an array's data
+    (it must own it), a list's with its items."""
+    return sum(
+        reachable_bytes(o) - (reachable_bytes(np.empty(0, o.dtype)) if isinstance(o, np.ndarray) else 0)
+        for o in objs
+    )
+
+
 def bulk_rank(keys, queries):
     """(ranks, found) arrays for ``queries`` against sorted ``keys``,
     computed with searchsorted instead of any code under test."""

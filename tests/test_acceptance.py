@@ -45,7 +45,7 @@ from dictboost.workloads import (
     subsample_matching_cdf,
 )
 
-from conftest import bulk_rank, mixed_queries
+from conftest import bulk_rank, held_bytes, mixed_queries
 
 
 def _pass_line(capsys, num, name, t0, budget_s, detail=""):
@@ -353,9 +353,10 @@ def test_criterion_10_space_bounded_selection(capsys):
     for r in rows:
         assert r.space_overhead_pct <= r.bound_pct
         if r.family == "binning":
-            # 24 header bytes per bin against 8 bytes per key, nothing else
+            # the rank table against 8 bytes per key, nothing else
+            table = build_binning(keys, int(r.model_param), r.dictionary_id)._starts.obj
             assert r.space_overhead_pct == pytest.approx(
-                100.0 * 24 * r.intervals / (8 * n)
+                100.0 * held_bytes(table) / (8 * n)
             )
     for family in ("binning", "segments"):
         fam = {r.bound_pct: r for r in rows if r.family == family}

@@ -21,7 +21,7 @@ from dictboost.binning import (
 )
 from dictboost.core import DictboostError, MAX_KEY, SearchOutcome, SortedKeySet
 
-from conftest import TEN_KEYS, assert_matches_oracle, bulk_rank, mixed_queries, reachable_bytes
+from conftest import TEN_KEYS, assert_matches_oracle, bulk_rank, held_bytes, mixed_queries, reachable_bytes
 
 
 class TestBinIndex:
@@ -164,13 +164,15 @@ class TestBinnedDictionary:
         assert d.empty_bins() / d.k > 0.9
         assert_matches_oracle(d, keys, mixed_queries(keys, 500, seed=2))
 
-    def test_space_is_headers_plus_inner_overhead(self):
+    def test_space_is_the_rank_table_plus_inner_overhead(self):
         sk = SortedKeySet(TEN_KEYS)
         plain = build_binning(sk, 4, "bbs")
-        assert plain.space_bytes() == 24 * 4  # bbs inners carry nothing extra
+        table = held_bytes(plain._starts.obj)  # 5 boundaries, one byte each at n = 10
+        assert table == 5
+        assert plain.space_bytes() == table  # bbs inners carry nothing extra
         fat = build_binning(sk, 4, "bfe")  # every inner adds its rank table
-        assert fat.space_bytes() == 24 * 4 + 8 * len(TEN_KEYS)
-        assert plain.space_overhead_pct() == pytest.approx(100.0 * 96 / 80)
+        assert fat.space_bytes() == held_bytes(fat._starts.obj) + 8 * len(TEN_KEYS)
+        assert plain.space_overhead_pct() == pytest.approx(100.0 * 5 / 80)
 
     def test_rank_table_is_its_narrowest_entries_per_boundary(self):
         """Beyond its key array, a binned model at k = n/10 reaches no more

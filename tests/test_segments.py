@@ -6,7 +6,9 @@ windows rely on.  Routing correctness is checked against the oracle
 separately since queries never consult the predictions.
 """
 
+import bisect
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,7 @@ from dictboost.core import MAX_KEY, DictboostError, SearchOutcome, SortedKeySet
 from dictboost.segments import Segment, SegmentedDictionary, _fit_segments, build_segments
 from dictboost.workloads import gen_clustered, gen_uniform
 
-from conftest import TEN_KEYS, assert_matches_oracle, bulk_rank, mixed_queries
+from conftest import TEN_KEYS, assert_matches_oracle, bulk_rank, held_bytes, mixed_queries, reachable_bytes
 
 
 def residuals(d: SegmentedDictionary) -> list[int]:
@@ -330,18 +332,97 @@ class TestSegmentStructure:
                 assert x < firsts[idx + 1]
 
     def test_space_accounting(self):
+        """The model's bytes are its three buffers, as a walk finds them:
+        the rank table, the slopes and the first-key list with its ints."""
         keys = SortedKeySet(TEN_KEYS)
         d = build_segments(keys, 1, "bbs")
-        assert d.space_bytes() == 48 * d.segment_count
-        assert d.space_overhead_pct() == pytest.approx(
-            100.0 * 48 * d.segment_count / (8 * len(keys))
-        )
+        held = held_bytes(d._starts.obj, d._slopes, d._firsts)
+        assert d.space_bytes() == held
+        assert d.space_overhead_pct() == pytest.approx(100.0 * held / (8 * len(keys)))
+
+    def test_model_is_a_few_bytes_a_segment(self):
+        """Beyond its key array, a segmented model on 20k clustered keys
+        reaches no more than 60 bytes a segment (a list slot and its int, a
+        float64 slope and a 2-byte rank entry come to about 46) and a fixed
+        few objects, by a ``sys.getsizeof`` walk over everything it refers
+        to; an object per segment would not fit."""
+        keys = gen_clustered(20_000, 0.001, seed=3, spread=1000)
+        d = build_segments(keys, 1)
+        assert d.segment_count > 1000
+        assert reachable_bytes(d) - keys.array.nbytes <= 60 * d.segment_count + 4096
 
     def test_eps_must_be_nonnegative_and_keys_nonempty(self):
         with pytest.raises(DictboostError):
             build_segments(SortedKeySet(TEN_KEYS), -1)
         with pytest.raises(DictboostError):
             build_segments(SortedKeySet([]), 1)
+
+
+def gap_probes(ks: list[int]) -> list[int]:
+    """Every key, and in each gap between two keys its ends and middle."""
+    out = list(ks)
+    for a, b in zip(ks, ks[1:]):
+        out += [v for v in {a + 1, (a + b) // 2, b - 1} if a < v < b]
+    return out
+
+
+class TestArrayModel:
+    """The model holds its segments as arrays; the ``Segment`` records of
+    ``_fit_segments`` are the oracle it must answer like."""
+
+    U64_KEYS = [0, 1, 2**53 - 1, 2**53 + 1, 2**63, 2**64 - 2, 2**64 - 1]
+
+    @pytest.mark.parametrize("eps", [0, 1, 4])
+    def test_prediction_is_the_owning_segments(self, eps):
+        """At every key and every gap, below the first key and above the
+        last, ``predict_rank`` is ``Segment.predict_rank`` of the segment
+        whose first key is the last one at or below the query (the first
+        segment below every key)."""
+        for keys in [gen_uniform(2000, 2**44, seed=4), gen_clustered(2000, 0.001, seed=4),
+                     SortedKeySet(self.U64_KEYS)]:
+            ks = keys.as_list()
+            segs = _fit_segments(keys, eps)
+            firsts = [s.first_key for s in segs]
+            d = build_segments(keys, eps)
+            for x in gap_probes(ks) + [0, ks[0] - 1, ks[-1] + 1, 2**64]:
+                owner = max(bisect.bisect_right(firsts, x) - 1, 0)
+                assert d.predict_rank(x) == segs[owner].predict_rank(x), (eps, x)
+
+    @pytest.mark.parametrize("eps", [0, 1, 2, 3, 8])
+    def test_u64_extremes_against_a_bisect_mirror(self, eps):
+        """Keys at both ends of the u64 range and astride 2**53: segments
+        span more than 2**53, so the fit's scalar path runs, and the model
+        still answers as ``bisect_left`` over the list and stays within eps."""
+        ks = self.U64_KEYS
+        d = build_segments(SortedKeySet(ks), eps)
+        assert d.max_residual() <= eps
+        probes = [-1] + gap_probes(ks) + [2**64]
+        for x in probes:
+            assert d.rank_search(x) == (bisect.bisect_left(ks, x), x in ks), (eps, x)
+        if eps >= 2:
+            assert any(ks[s.end_rank - 1] - s.first_key > 2**53 for s in d.segments)
+
+    @pytest.mark.parametrize("eps", [0, 1, 16])
+    def test_segments_are_the_fit(self, eps):
+        for raw in [benchmark_keys(0)[:20_000], u64_extreme_keys(5)]:
+            keys = SortedKeySet(raw)
+            d = build_segments(keys, eps)
+            assert bits(d.segments) == bits(_fit_segments(keys, eps))
+            assert d.segments == _fit_segments(raw, eps)
+            assert d.segment_count == len(d.segments) == d.intervals
+
+    def test_pickled_copy_answers_alike(self):
+        keys = SortedKeySet(u64_extreme_keys(6))
+        for eps in [0, 16]:
+            d = build_segments(keys, eps)
+            c = pickle.loads(pickle.dumps(d))
+            assert bits(c.segments) == bits(d.segments)
+            probes = mixed_queries(keys, 600, seed=eps) + [0, MAX_KEY]
+            ranks, found = bulk_rank(keys, probes)
+            want = list(zip(ranks.tolist(), found.tolist()))
+            assert [c.rank_search(x) for x in probes] == want
+            assert [c.predict_rank(x) for x in probes] == [d.predict_rank(x) for x in probes]
+            assert c.max_residual() == d.max_residual() <= eps
 
 
 class TestSegmentedQueries:

@@ -24,7 +24,7 @@ from dictboost.dynamic import DynamicBinDict
 from dictboost.segments import build_segments
 from dictboost.workloads import gen_clustered, gen_uniform
 
-from conftest import assert_matches_oracle, bulk_rank, mixed_queries
+from conftest import assert_matches_oracle, bulk_rank, mixed_queries, reachable_bytes
 
 
 def _models(keys, kind):
@@ -339,6 +339,21 @@ def test_models_hold_no_per_key_object(monkeypatch):
     for label, d in models.items():
         per_key = structure_bytes(d) / n
         assert per_key <= 16, f"{label}: {per_key:.1f} bytes per key"
+
+
+@pytest.mark.parametrize("model, param", [("binning", 100_000), ("segments", 4), ("segments", 16)])
+def test_space_bytes_is_what_a_walk_finds(model, param):
+    """At 1M keys, a model's ``space_bytes()`` is within 5% of the bytes a
+    ``sys.getsizeof`` walk reaches from it beyond those of its key set:
+    binned at k = 100k over uniform keys, and segmented at eps 4 and 16
+    over the ``clustered-segments`` key shape."""
+    n = 1_000_000
+    if model == "binning":
+        d = build_binning(gen_uniform(n, 2**44, seed=13), param, "bbs")
+    else:
+        d = build_segments(gen_clustered(n, outlier_fraction=0.001, seed=13, spread=1000), param, "bbs")
+    walked = reachable_bytes(d) - reachable_bytes(d.keys)
+    assert abs(d.space_bytes() - walked) <= 0.05 * walked, (d.space_bytes(), walked)
 
 
 @pytest.mark.parametrize("n", [200, 60_000, 70_000])
