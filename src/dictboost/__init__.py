@@ -29,7 +29,6 @@ from .core import (
     SortedSetDictionary,
     entropy,
     gap_stats,
-    oracle_rank_search,
 )
 from .dictionaries import (
     BlockTreeSearch,
@@ -123,7 +122,6 @@ __all__ = [
     "make_builder",
     "optimal_bst",
     "optimize_over_k",
-    "oracle_rank_search",
     "parse_dict_specs",
     "pct_to_k",
     "save_keys",

@@ -5,8 +5,8 @@ The whole library revolves around one normalized query protocol: a
 sorted order.  ``rank_search(x)`` returns the index of the smallest key
 ``>= x`` (``n`` if there is none) together with a membership flag.  Every
 dictionary and every model wrapper in this package answers queries in
-exactly those terms, which is what makes them interchangeable and lets a
-single linear-scan oracle act as ground truth for all of them.
+exactly those terms, which is what makes them interchangeable and lets
+any of them be checked against any other.
 
 A query is a Python or numpy integer, any integer at all: one below the
 keys answers rank 0 and one above them rank ``n``, also outside the u64
@@ -20,10 +20,9 @@ queries.
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from operator import index
 from typing import Iterable, NamedTuple, Sequence
@@ -32,6 +31,8 @@ import numpy as np
 
 KEY_BYTES = 8
 MAX_KEY = 2**64 - 1
+_EMPTY_LIST_BYTES = sys.getsizeof([])
+_POINTER_BYTES = 8
 
 
 class DictboostError(Exception):
@@ -63,12 +64,8 @@ class SearchOutcome(NamedTuple):
 
 @dataclass(frozen=True)
 class GapStats:
-    """Extremes of the consecutive-gap sequence of a sorted key set.
-
-    The ratio ``g_max / g_min`` is kept as an exact integer pair so that
-    threshold comparisons elsewhere (rebuild policies) never suffer float
-    rounding; ``delta`` is the derived float for reporting.
-    """
+    """Extremes of the consecutive-gap sequence of a sorted key set;
+    ``delta`` is their ratio ``g_max / g_min`` as a float, for reporting."""
 
     g_min: int
     g_max: int
@@ -82,10 +79,6 @@ class GapStats:
     @property
     def delta(self) -> float:
         return self.g_max / self.g_min
-
-    @property
-    def delta_exact(self) -> Fraction:
-        return Fraction(self.g_max, self.g_min)
 
 
 def _as_int(x) -> int:
@@ -227,26 +220,6 @@ class SortedKeySet:
             raise InvalidKeySetError("empty key set has no extremes")
         return int(self._arr[-1])
 
-    # -- basic queries (bisect-backed plumbing, not the measured paths) ------
-
-    def rank_of(self, x: int) -> tuple[int, bool]:
-        """``(rank, found)`` of any int ``x``, also one outside the u64 range."""
-        r = bisect_left(self.view, x)
-        return r, r < len(self) and self.view[r] == x
-
-    def predecessor_of(self, x: int) -> int | None:
-        """Largest key strictly smaller than ``x``, or None."""
-        r, _ = self.rank_of(x)
-        return self[r - 1] if r > 0 else None
-
-    def range_between(self, x: int, y: int) -> list[int]:
-        """Keys in the closed interval ``[x, y]``: two rank searches on the
-        view plus a slice of the array."""
-        if y < x:
-            return []
-        view = self.view
-        return self._arr[bisect_left(view, x):bisect_right(view, y)].tolist()
-
 
 def gap_stats(keys: SortedKeySet | Sequence[int] | np.ndarray) -> GapStats:
     """Minimum and maximum consecutive gap of a sorted key set (n >= 2).
@@ -307,22 +280,18 @@ def entropy(dist: AccessDistribution | Iterable[float]) -> float:
     return float(-(w * np.log2(w)).sum())
 
 
-def oracle_rank_search(keys: Sequence[int], x: int) -> SearchOutcome:
-    """Ground truth for every dictionary: a plain linear scan.
-
-    Deliberately the dumbest possible implementation so that nothing clever
-    can be wrong in the reference answer.
-    """
-    n = len(keys)
-    for i in range(n):
-        v = keys[i]
-        if v >= x:
-            return SearchOutcome(i, v == x)
-    return SearchOutcome(n, False)
-
-
 # ---------------------------------------------------------------------------
 # dictionary contracts
+
+
+def list_bytes(items: Sequence, item_bytes=sys.getsizeof) -> int:
+    """Bytes of a list of ``items`` as built at its length: the list's
+    header, one pointer per item, then ``item_bytes`` of each item
+    (``None`` for items counted elsewhere).  A list grown by appends, as
+    unpickling grows one, holds spare slots beyond these, so a copy
+    reports what the original did."""
+    total = _EMPTY_LIST_BYTES + _POINTER_BYTES * len(items)
+    return total if item_bytes is None else total + sum(map(item_bytes, items))
 
 
 class SortedSetDictionary(ABC):

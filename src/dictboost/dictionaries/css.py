@@ -1,11 +1,12 @@
 """Implicit multiway search tree over the sorted array (CSS-tree style).
 
 The sorted keys stay where they are; what gets built is a stack of
-separator levels, each one array holding the maximum key of every group of
-``fanout`` entries in the level below.  Nodes are ``fanout`` consecutive
-separators, child links are index arithmetic, so the tree costs no
-pointers.  The default fanout of 16 keys matches two 64-byte cache lines
-per node.
+separator levels, each one list holding the maximum key of every group
+of ``fanout`` entries in the level below.  Nodes are ``fanout``
+consecutive separators and child links are index arithmetic, so the tree
+stores no child links.  A separator costs a list pointer, and on the
+lowest level an int object of its own (a level above holds the ints of
+the one below): at the default fanout of 16, about 2.5 bytes a key.
 
 Every separator equals the maximum of its subtree, so descending into the
 leftmost child whose separator is ``>= x`` lands exactly on the leaf group
@@ -19,9 +20,10 @@ window's start rank, and a shorter window is one leaf group.
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
-from ..core import KEY_BYTES, DictboostError, SortedSetDictionary
+from ..core import DictboostError, SortedSetDictionary, list_bytes
 
 
 def _maxima(below: Sequence[int], f: int, lo: int, hi: int) -> list[int]:
@@ -75,4 +77,11 @@ class CssTreeSearch(SortedSetDictionary):
         return hi, False
 
     def overhead_bytes(self) -> int:
-        return KEY_BYTES * sum(len(lv) for levels in self._levels.values() for lv in levels)
+        # the dict with its start ranks and, per window, the list of levels
+        # and each level's list; only the leaf-group maxima are ints of their
+        # own, as a level above holds the int objects of the level below
+        total = sys.getsizeof(self._levels)
+        for lo, levels in self._levels.items():
+            lists = list_bytes(levels, None) + sum(list_bytes(lv, None) for lv in levels)
+            total += sys.getsizeof(lo) + lists + sum(map(sys.getsizeof, levels[0]))
+        return total

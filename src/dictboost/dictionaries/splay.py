@@ -14,13 +14,10 @@ rotations patch sizes locally.
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
-from ..core import KEY_BYTES, SortedSetDictionary
-
-# key + left/right/parent + size, one word each; the key's word is counted
-# in the key array, the other four are the overhead
-_NODE_BYTES = 40
+from ..core import SortedSetDictionary
 
 
 class _Node:
@@ -32,6 +29,10 @@ class _Node:
         self.right: _Node | None = None
         self.parent = parent
         self.size = 1
+
+
+# five slots and the object's header: 72 bytes on CPython 3.11
+_NODE_BYTES = sys.getsizeof(_Node(0))
 
 
 def _sz(node: _Node | None) -> int:
@@ -119,7 +120,13 @@ class SplayTreeDictionary(SortedSetDictionary):
         return rank, node is not None
 
     def overhead_bytes(self) -> int:
-        return (_NODE_BYTES - KEY_BYTES) * len(self._keys)
+        # a node and its key's int object per key, and the roots' dict with
+        # its start ranks; a node's size is a cached small int up to 256, and
+        # the few larger ones go uncounted
+        return (
+            _NODE_BYTES * len(self._keys) + sum(map(sys.getsizeof, self._keys))
+            + sys.getsizeof(self._roots) + sum(map(sys.getsizeof, self._roots))
+        )
 
     def check_integrity(self) -> list[int]:
         """Debug walk: asserts BST order, parent links and sizes, and that

@@ -279,8 +279,6 @@ class DynamicBinDict:
             x = index(x)
         except TypeError:
             raise DictboostError(f"{x!r} is not an integer") from None
-        if self._size == 0:
-            return 0, False
         b = i = self._geometry.bin_of(x) - 1
         tree = self._fenwick._tree
         base = 0

@@ -65,14 +65,13 @@ nothing recursive.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import DictboostError, SortedKeySet, _as_int
+from .core import DictboostError, SortedKeySet, _as_int, list_bytes
 from .dictionaries import IntervalModel
 
 _SCALAR_HEAD = 32  # candidates grown in Python after a segment no longer than this
@@ -355,12 +354,9 @@ class SegmentedDictionary(IntervalModel):
         return int(np.abs(pred - offset).max())
 
     def space_bytes(self) -> int:
-        """The rank table, the slopes, the first-key list with its ints, and
-        the dictionary's overhead.  The list counts one pointer per segment,
-        as built; one grown by appends, as unpickling grows it, holds spare
-        slots beyond them."""
-        firsts = sys.getsizeof([]) + 8 * len(self._firsts) + sum(map(sys.getsizeof, self._firsts))
-        return super().space_bytes() + self._slopes.nbytes + firsts
+        """The rank table, the slopes, the first-key list with its ints (as
+        built, by ``list_bytes``), and the dictionary's overhead."""
+        return super().space_bytes() + self._slopes.nbytes + list_bytes(self._firsts)
 
 
 build_segments = SegmentedDictionary.build

@@ -1,5 +1,5 @@
-"""Shared test helpers: a vectorized rank oracle, query generators and a
-``sys.getsizeof`` walk for space bounds.
+"""Shared test helpers: a linear-scan and a vectorized rank oracle, query
+generators and a ``sys.getsizeof`` walk for space bounds.
 
 ``bulk_rank`` is the workhorse ground truth for the equivalence tests.  It
 is itself cross-checked against the linear-scan ``oracle_rank_search`` in
@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from dictboost.core import MAX_KEY, SortedKeySet
+from dictboost.core import MAX_KEY, SearchOutcome, SortedKeySet
 
 # the 10-key running example used across the suite; gaps range from 12
 # (398-386) up to 421 (819-398)
@@ -44,6 +44,20 @@ def held_bytes(*objs: object) -> int:
         reachable_bytes(o) - (reachable_bytes(np.empty(0, o.dtype)) if isinstance(o, np.ndarray) else 0)
         for o in objs
     )
+
+
+def oracle_rank_search(keys, x) -> SearchOutcome:
+    """Ground truth for every dictionary: a plain linear scan.
+
+    Deliberately the dumbest possible implementation so that nothing clever
+    can be wrong in the reference answer.
+    """
+    n = len(keys)
+    for i in range(n):
+        v = keys[i]
+        if v >= x:
+            return SearchOutcome(i, v == x)
+    return SearchOutcome(n, False)
 
 
 def bulk_rank(keys, queries):

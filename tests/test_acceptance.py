@@ -24,12 +24,7 @@ from dictboost.bench import (
     write_csv,
 )
 from dictboost.binning import bin_occupancy, build_binning, pct_to_k
-from dictboost.core import (
-    AccessDistribution,
-    SortedKeySet,
-    gap_stats,
-    oracle_rank_search,
-)
+from dictboost.core import AccessDistribution, SortedKeySet, gap_stats
 from dictboost.dictionaries import make_builder
 from dictboost.dynamic import DynamicBinDict, RebuildTrigger
 from dictboost.forest import optimal_bst, optimize_over_k
@@ -45,7 +40,7 @@ from dictboost.workloads import (
     subsample_matching_cdf,
 )
 
-from conftest import bulk_rank, held_bytes, mixed_queries
+from conftest import bulk_rank, held_bytes, mixed_queries, oracle_rank_search
 
 
 def _pass_line(capsys, num, name, t0, budget_s, detail=""):

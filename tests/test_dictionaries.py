@@ -6,6 +6,7 @@ searchsorted oracle from conftest.
 """
 
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -27,6 +28,7 @@ from dictboost.dictionaries import (
     make_builder,
     parse_dict_specs,
 )
+from dictboost.dictionaries.splay import _Node
 from dictboost.dynamic import DynamicBinDict
 from dictboost.segments import build_segments
 from dictboost.workloads import save_keys
@@ -268,9 +270,14 @@ class TestEytzinger:
             assert list(e.inorder_positions()) == list(b.inorder_positions()), f"n={n}"
 
     def test_rank_table_is_the_overhead(self):
+        """The layout and the rank table are both lists of ints: a header,
+        a pointer and an int object per slot, beyond the key set's 8 bytes
+        a key."""
         d = EytzingerSearch.build(TEN_KEYS)
-        assert d.space_bytes() == 2 * 8 * len(TEN_KEYS)
-        assert d.overhead_bytes() == 8 * len(TEN_KEYS)
+        n = len(TEN_KEYS)
+        held = 2 * (sys.getsizeof([]) + 8 * n) + sum(map(sys.getsizeof, TEN_KEYS + list(range(n))))
+        assert d.overhead_bytes() == held
+        assert d.space_bytes() == 8 * n + held
 
 
 class TestBlockTree:
@@ -290,8 +297,11 @@ class TestBlockTree:
     def test_space_counts_padding_and_ranks(self):
         """No padding: a partial last block holds just its keys."""
         d = BlockTreeSearch.build([1, 2, 3], block=8)
-        assert d.space_bytes() == 2 * 8 * 3  # layout + rank table
-        assert d.overhead_bytes() == 8 * 3
+        # layout [1, 2, 3] and rank table [0, 1, 2]: a list header, a
+        # pointer and an int per slot each
+        held = 2 * (sys.getsizeof([]) + 8 * 3) + sum(map(sys.getsizeof, [1, 2, 3, 0, 1, 2]))
+        assert d.overhead_bytes() == held
+        assert d.space_bytes() == 8 * 3 + held
 
 
 class TestCssTree:
@@ -309,7 +319,7 @@ class TestCssTree:
     def test_small_set_needs_no_levels(self):
         d = CssTreeSearch.build(list(range(16)), fanout=16)
         assert d._levels == {}
-        assert d.overhead_bytes() == 0
+        assert d.overhead_bytes() == sys.getsizeof({})  # the empty dict of levels
 
     def test_fanout_must_be_at_least_two(self):
         with pytest.raises(DictboostError):
@@ -336,5 +346,9 @@ class TestSplayTree:
         d.check_integrity()
 
     def test_node_space_accounting(self):
+        """A node and its key's int per key, and the dict of the one
+        window's root under its start rank 0."""
         d = SplayTreeDictionary.build([1, 2, 3])
-        assert d.space_bytes() == 3 * 40
+        nodes = 3 * sys.getsizeof(_Node(0)) + sum(map(sys.getsizeof, [1, 2, 3]))
+        roots = sys.getsizeof({0: None}) + sys.getsizeof(0)
+        assert d.space_bytes() == 8 * 3 + nodes + roots

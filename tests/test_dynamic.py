@@ -485,6 +485,26 @@ class TestPackedBins:
         assert d.insert(7) and d.insert(3)
         assert list(d) == [3, 7] and d.rank_search(7) == (1, True)
 
+    def test_an_emptied_structure_answers_rank_0(self):
+        """Deleting every key rebuilds down to 0 keys, where the bins are
+        cut over the hull ``[0, 0]``: every query, also one outside the u64
+        range, answers ``(0, False)``, ``select`` has no rank to give, and
+        a later insert answers as a bisect mirror does."""
+        keys = [3, 9, 20, 21, 40, 77, 1000]
+        d = DynamicBinDict(keys, k=64)
+        for x in keys:
+            assert d.delete(x)
+        assert [e.elements_touched for e in d.ledger.events] == [4, 2, 1, 0]
+        for x in (-1, 0, 5, MAX_KEY, 2**70):
+            assert d.rank_search(x) == (0, False), x
+        with pytest.raises(RankOutOfRangeError):
+            d.select(0)
+        mirror = [500]
+        assert d.insert(500)
+        for x in (-1, 0, 499, 500, 501, MAX_KEY, 2**70):
+            r = bisect_left(mirror, x)
+            assert d.rank_search(x) == (r, r < len(mirror) and mirror[r] == x), x
+
 
 class TestExactSizeBins:
     """A build or rebuild copies the sorted keys once into one packed

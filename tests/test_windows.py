@@ -20,6 +20,7 @@ from dictboost import binning
 from dictboost.binning import BinGeometry, bin_starts, build_binning
 from dictboost.core import MAX_KEY, DictboostError, SearchOutcome, SortedKeySet, sorted_unique
 from dictboost.dictionaries import DICTIONARY_IDS, _KINDS, _kind, make_builder
+from dictboost.dictionaries.splay import _Node
 from dictboost.dynamic import DynamicBinDict
 from dictboost.segments import build_segments
 from dictboost.workloads import gen_clustered, gen_uniform
@@ -185,25 +186,42 @@ def test_edge_windows_answer_every_integer_outside_the_keys(kind):
             assert tree.check_integrity() == keys.as_list(), label
 
 
-def _overhead_words(kind, lens):
-    """Words a kind holds beyond the keys, over windows of lengths ``lens``,
-    counted from what it stores: a rank per key (``bfe``, ``bft``), four
-    more words per tree node (``splay``), or the separator levels of the
-    windows longer than the fanout (``css``), each ``ceil(below / f)``
-    long."""
+def _overhead_bytes(kind, keys, starts):
+    """Bytes a kind holds beyond the keys over the windows ``starts``,
+    counted from what it stores by ``sys.getsizeof``: a list costs its
+    header and a pointer per item, a dict its own size, and an int its
+    own.  ``bfe`` and ``bft`` hold a layout list of the keys and a list
+    of their ranks; ``splay`` a node and a key int per key, and a dict of
+    the non-empty windows' starts; ``css`` a dict of the windows longer
+    than the fanout, each with a list of separator levels, each
+    ``ceil(below / f)`` long, whose lowest level holds the maxima of the
+    window's key groups as ints of its own (a level above shares them)."""
     name, _, param = kind.partition(":")
+    ks, n = keys.as_list(), len(keys)
+    empty_list = sys.getsizeof([])
+
+    def ints(values):
+        return sum(map(sys.getsizeof, values))
+
+    windows = list(zip(starts, starts[1:]))
     if name in ("bfe", "bft"):
-        return sum(lens)
+        return 2 * (empty_list + 8 * n) + ints(ks) + ints(range(n))
     if name == "splay":
-        return 4 * sum(lens)
+        roots = {lo: hi for lo, hi in windows if lo < hi}
+        return n * sys.getsizeof(_Node(0)) + ints(ks) + sys.getsizeof(roots) + ints(roots)
     if name != "css":
         return 0
-    f, words = int(param or 16), 0
-    for m in lens:
+    f = int(param or 16)
+    long = {lo: hi for lo, hi in windows if hi - lo > f}
+    total = sys.getsizeof(long) + ints(long)
+    for lo, hi in long.items():
+        sizes, m = [], hi - lo
         while m > f:
             m = -(-m // f)
-            words += m
-    return words
+            sizes.append(m)
+        maxima = [ks[min(r + f, hi) - 1] for r in range(lo, hi, f)]
+        total += empty_list + 8 * len(sizes) + sum(empty_list + 8 * s for s in sizes) + ints(maxima)
+    return total
 
 
 @pytest.mark.parametrize("kind", WINDOW_KINDS)
@@ -214,10 +232,10 @@ def test_space_is_the_keys_plus_the_overhead(kind):
     _, cls, params = _kind(kind)
     keys = gen_clustered(600, outlier_fraction=0.01, seed=6)
     starts = bin_starts(keys, 40).tolist()
-    for label, d, lens in [("plain", cls.build(keys, *params), [len(keys)]),
-                           ("windows", cls(keys.view, starts, *params), np.diff(starts).tolist())]:
+    for label, d, cuts in [("plain", cls.build(keys, *params), [0, len(keys)]),
+                           ("windows", cls(keys.view, starts, *params), starts)]:
         assert len(d) == len(keys), label
-        assert d.overhead_bytes() == 8 * _overhead_words(kind, lens), label
+        assert d.overhead_bytes() == _overhead_bytes(kind, keys, cuts), label
         assert d.space_bytes() == 8 * len(d) + d.overhead_bytes(), label
 
 
@@ -354,6 +372,28 @@ def test_space_bytes_is_what_a_walk_finds(model, param):
         d = build_segments(gen_clustered(n, outlier_fraction=0.001, seed=13, spread=1000), param, "bbs")
     walked = reachable_bytes(d) - reachable_bytes(d.keys)
     assert abs(d.space_bytes() - walked) <= 0.05 * walked, (d.space_bytes(), walked)
+
+
+@pytest.mark.parametrize("kind", DICTIONARY_IDS)
+def test_kind_bytes_are_what_a_walk_finds(kind):
+    """At 100k uniform keys, a plain build's ``overhead_bytes()`` and a
+    binned model's ``space_bytes()`` (k = n/10) are within 5% of the bytes
+    a ``sys.getsizeof`` walk reaches from them beyond the key set, plus
+    1 KB for the instances' own headers, which no kind counts; the
+    in-place kinds hold nothing more.  Every kind is searched first, so
+    that a splay tree has rotated."""
+    _, cls, params = _kind(kind)
+    keys = gen_uniform(100_000, 2**44, seed=3)
+    plain, binned = cls.build(keys, *params), build_binning(keys, 10_000, kind)
+    for d in (plain, binned):
+        for x in mixed_queries(keys, 200, seed=4):
+            d.rank_search(x)
+    builds = [("plain", plain.overhead_bytes(), reachable_bytes(plain) - reachable_bytes(keys.view)),
+              ("binned", binned.space_bytes(), reachable_bytes(binned) - reachable_bytes(keys))]
+    for label, reported, walked in builds:
+        assert abs(reported - walked) <= 0.05 * walked + 1024, (label, reported, walked)
+    if kind in ("bbs", "bfs", "is"):
+        assert plain.overhead_bytes() == binned._dict.overhead_bytes() == 0
 
 
 @pytest.mark.parametrize("n", [200, 60_000, 70_000])
