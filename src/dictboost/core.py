@@ -294,7 +294,27 @@ def list_bytes(items: Sequence, item_bytes=sys.getsizeof) -> int:
     return total if item_bytes is None else total + sum(map(item_bytes, items))
 
 
-class SortedSetDictionary(ABC):
+def rank_view(ranks: np.ndarray, n: int) -> memoryview:
+    """``ranks``, each in ``[0, n]``, as a read-only view of an array of the
+    narrowest unsigned type that holds ``n`` (``np.min_scalar_type``: 1, 2
+    or 4 bytes a rank up to 255, 65,535 or 2^32 - 1 keys)."""
+    return memoryview(ranks.astype(np.min_scalar_type(n), copy=False)).toreadonly()
+
+
+class PicklesViews:
+    """Pickles each memoryview field, which cannot be pickled, as the whole
+    array behind it, and restores a read-only view over the copy."""
+
+    def __getstate__(self) -> tuple[dict, list[str]]:
+        views = [name for name, v in vars(self).items() if isinstance(v, memoryview)]
+        return {**vars(self), **{name: getattr(self, name).obj for name in views}}, views
+
+    def __setstate__(self, state: tuple[dict, list[str]]) -> None:
+        fields, views = state
+        vars(self).update(fields, **{name: memoryview(fields[name]).toreadonly() for name in views})
+
+
+class SortedSetDictionary(PicklesViews, ABC):
     """A sorted-set dictionary kind, built once over the windows of one
     sorted key sequence.
 
@@ -302,7 +322,7 @@ class SortedSetDictionary(ABC):
     any sequence of ints, which it reads but never changes; every build in
     the package passes a ``SortedKeySet.view`` of the key set's buffer.
     ``starts`` are ascending ranks (first 0, last ``n``), any sequence of
-    ints: a learned model passes a ``memoryview`` of its int64 rank table.
+    ints: a learned model passes the ``memoryview`` of its rank table.
     Window ``j`` is ``[starts[j-1], starts[j])``.  No kind copies keys per
     window.
     ``search(x, lo, hi)`` answers a Python int ``x`` on one such window
@@ -311,9 +331,10 @@ class SortedSetDictionary(ABC):
     window ``[0, n)`` of the key set's view, and ``rank_search(x)`` admits
     any query (see the module docstring) and searches that window.
 
-    This base holds the keys and gives ``len``, ``rank_search`` and the
-    space sum; a kind defines its constructor, which calls this one, its
-    ``search`` and, if it holds more than the keys, ``overhead_bytes``.
+    This base holds the keys and gives ``len``, ``rank_search``, the space
+    sum and pickling (views as their arrays, by :class:`PicklesViews`); a
+    kind defines its constructor, which calls this one, its ``search`` and,
+    if it holds more than the keys, ``overhead_bytes``.
     Instances are safe for concurrent readers unless documented otherwise
     (the splay tree mutates on reads and needs exclusive access).
     """
@@ -331,18 +352,6 @@ class SortedSetDictionary(ABC):
         if not len(keys):
             raise InvalidKeySetError("cannot build a dictionary over zero keys")
         return cls(keys.view, [0, len(keys)], *args, **kwargs)
-
-    def __getstate__(self) -> dict:
-        # a view cannot be pickled: pass its key set, whose view the copy reads
-        state = self.__dict__.copy()
-        if isinstance(state.get("_keys"), memoryview):
-            state["_keys"] = SortedKeySet(state["_keys"].obj)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        if isinstance(state.get("_keys"), SortedKeySet):
-            state["_keys"] = state["_keys"].view
-        self.__dict__.update(state)
 
     @abstractmethod
     def search(self, x: int, lo: int, hi: int) -> tuple[int, bool]:

@@ -26,7 +26,7 @@ holds the keys and gives ``len``, ``rank_search`` and ``space_bytes``; the
 kind defines its constructor, its ``search`` and, if it holds more than
 the keys, ``overhead_bytes``.  The in-place kinds (``bbs``, ``bfs``,
 ``is``) hold the view only and define just their search; ``bfe`` and
-``bft`` add one flat layout and rank list, ``css`` the separator levels
+``bft`` add one flat layout and rank buffer, ``css`` the separator levels
 of the windows longer than its fanout, and ``splay`` one tree per window.
 """
 
@@ -37,7 +37,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core import KEY_BYTES, DictboostError, SortedKeySet, SortedSetDictionary
+from ..core import KEY_BYTES, DictboostError, PicklesViews, SortedKeySet, SortedSetDictionary
+from ..core import rank_view
 from .css import CssTreeSearch
 from .layouts import BlockTreeSearch, EytzingerSearch
 from .sorted_array import BranchyBinarySearch, InterpolationSearch, UniformBinarySearch
@@ -124,15 +125,13 @@ def parse_dict_specs(spec_list: str) -> list[tuple[str, DictionaryBuilder]]:
     return out
 
 
-class IntervalModel:
+class IntervalModel(PicklesViews):
     """A sorted key set cut into intervals at the ascending ranks
     ``starts`` (first 0, last ``n``), answered by one dictionary kind.
 
-    ``starts`` is kept as one array of the narrowest unsigned type that
-    holds ``n`` (``np.min_scalar_type``: 2 bytes per interval boundary for
-    up to 65,535 keys, 4 up to 2^32 - 1), read through a ``memoryview``
-    as the key set's ``view`` reads the keys: indexing it gives a plain
-    Python int, with no boxed int per interval held between queries.
+    ``starts`` is kept by ``core.rank_view``, as the narrowest unsigned type
+    that holds ``n`` read through a ``memoryview``: indexing it gives a
+    plain Python int, with no boxed int per interval held between queries.
 
     A subclass cuts the keys and names the interval of a query with
     ``interval(x)``: the ``j`` whose window ``keys[starts[j-1]:starts[j]]``
@@ -150,8 +149,7 @@ class IntervalModel:
 
     def __init__(self, keys: SortedKeySet, starts: np.ndarray, dict_kind: str):
         self.keys = keys
-        # every rank is in [0, n], so the narrowest type holding n holds them
-        self._starts = memoryview(starts.astype(np.min_scalar_type(len(keys)), copy=False))
+        self._starts = rank_view(starts, len(keys))
         self.dict_id, kind, params = _kind(dict_kind)
         self._dict = kind(keys.view, self._starts, *params)
         self._n = len(keys)
@@ -168,18 +166,14 @@ class IntervalModel:
         """The 1-based interval ``j`` of any int ``x``."""
         raise NotImplementedError
 
-    def __getstate__(self) -> dict:
-        # the dictionary may hold the key set's view, and neither view can
-        # be pickled: carry the rank array, and a copy builds its own
-        # dictionary over the copied key set
-        state = self.__dict__.copy()
-        del state["_dict"]
-        state["_starts"] = self._starts.obj
-        return state
+    def __getstate__(self) -> tuple[dict, list[str]]:
+        # the dictionary reads the key set's view: a copy builds its own
+        fields, views = super().__getstate__()
+        del fields["_dict"]
+        return fields, views
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._starts = memoryview(self._starts)
+    def __setstate__(self, state: tuple[dict, list[str]]) -> None:
+        super().__setstate__(state)
         _, kind, params = _kind(self.dict_id)
         self._dict = kind(self.keys.view, self._starts, *params)
 

@@ -5,18 +5,18 @@ Both store the keys permuted so that a root-to-leaf descent touches
 consecutive memory regions instead of jumping around a sorted array.  The
 descent finds the *position* of the successor key inside the permuted
 array; a parallel rank table maps that position back to the sorted rank
-the normalized protocol requires.  Both are lists of Python ints, so a
-slot holds two pointers and two int objects, about 76 bytes a key at
-100k keys against the 8 of the key set's own slot; the whole of both
-lists is reported as space overhead, the layout being a second copy of
-the keys.
+the normalized protocol requires.  Both are arrays read through
+read-only memoryviews, as the key set's ``view`` reads the keys: the
+layout, a second copy of the keys, as uint64, and the ranks as the
+narrowest unsigned type that holds n (``core.rank_view``), 12 bytes a
+slot at a million keys, all reported as space overhead.
 
 One private base builds the layout of a ``(b+1)``-ary tree of ``b``-key
 blocks; ``bft`` is that base at its block size and ``bfe`` the base at
 ``b = 1``, where the blocked BFS order is the Eytzinger order (Khuong &
 Morin, "Array Layouts for Comparison-Based Searching", ACM JEA 2017).  The
 kinds differ only in their descent.  A build holds one flat ``layout``
-list and one flat ``ranks`` list of length n for all its windows: window
+and one flat ``ranks`` array of length n for all its windows: window
 ``[lo, hi)`` of ``layout`` holds ``keys[lo:hi]`` laid out as one tree, in
 an order that depends only on the window length and the block size, and
 ``ranks`` holds their global ranks.  The build computes that order once
@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..core import DictboostError, SortedSetDictionary, list_bytes
+from ..core import DictboostError, SortedSetDictionary, rank_view
 
 
 def _inorder_ranks(m: int, b: int) -> np.ndarray:
@@ -84,11 +84,11 @@ class _BlockLayout(SortedSetDictionary):
                 los = st[group][:, None]
                 ranks[los + np.arange(m)] = los + _inorder_ranks(m, block)
         self._block = block
-        self._layout = np.asarray(keys, dtype=np.uint64)[ranks].tolist()
-        self._ranks = ranks.tolist()
+        self._layout = memoryview(np.asarray(keys, dtype=np.uint64)[ranks]).toreadonly()
+        self._ranks = rank_view(ranks, len(keys))
 
     def overhead_bytes(self) -> int:
-        return list_bytes(self._layout) + list_bytes(self._ranks)
+        return self._layout.nbytes + self._ranks.nbytes
 
     def inorder_positions(self) -> Iterator[int]:
         """In-order positions of a plain build (testing hook: reading the

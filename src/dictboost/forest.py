@@ -49,10 +49,6 @@ class BstPlan:
     leaf_depths: tuple[int, ...]
     root: int | None  # 0-based index of the root key, None for empty
 
-    @property
-    def n(self) -> int:
-        return len(self.key_depths)
-
 
 def _check_weights(p, q) -> tuple[list[float], list[float]]:
     p = [float(v) for v in p]

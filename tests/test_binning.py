@@ -170,8 +170,10 @@ class TestBinnedDictionary:
         table = held_bytes(plain._starts.obj)  # 5 boundaries, one byte each at n = 10
         assert table == 5
         assert plain.space_bytes() == table  # bbs inners carry nothing extra
-        fat = build_binning(sk, 4, "bfe")  # the inner adds its layout and rank lists
-        assert fat.space_bytes() == held_bytes(fat._starts.obj, fat._dict._layout, fat._dict._ranks)
+        fat = build_binning(sk, 4, "bfe")  # the inner adds its layout and rank buffers
+        inner = held_bytes(fat._dict._layout.obj, fat._dict._ranks.obj)
+        assert inner == 10 * 8 + 10 * 1  # a uint64 slot and a uint8 rank per key
+        assert fat.space_bytes() == table + inner == 95
         assert plain.space_overhead_pct() == pytest.approx(100.0 * 5 / 80)
 
     def test_rank_table_is_its_narrowest_entries_per_boundary(self):

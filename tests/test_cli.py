@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from dictboost.bench import BenchRecord, ForestRow, csv_header
+from dictboost.bench import BenchRecord, ForestRow, csv_header, delta_report, write_csv
 from dictboost.cli import main
 from dictboost.dynamic import DynamicBinDict
 from dictboost.streams import OP_DELETE, OP_INSERT, StreamCheckpoint, gen_uniform_stream
@@ -119,6 +119,34 @@ class TestBenchCommands:
         params = [r["model_param"] for r in rows if r["model_id"] == "segments"]
         assert params == ["4", "32"]
 
+    def test_duplicate_keys_are_dropped_with_one_note(self, keyfile, tmp_path, capsys):
+        """A key file with duplicates answers over its distinct keys, with
+        one note of the count on stderr: the run's rows, timings aside,
+        are those over a file of the distinct keys alone."""
+        keys = load_keys(keyfile).keys.as_list()
+        dup_dir, clean_dir = tmp_path / "dup", tmp_path / "clean"
+        dup_dir.mkdir()
+        clean_dir.mkdir()
+        save_keys(keys[::-1] + keys[:40] + keys[100:107], dup_dir / "k.bin")
+        save_keys(keys, clean_dir / "k.bin")
+        rows = {}
+        for label, folder in [("dup", dup_dir), ("clean", clean_dir)]:
+            capsys.readouterr()
+            rc = main(["bench-boost", "--dataset", str(folder / "k.bin"), "--dicts", "bbs,bfe",
+                       "--queries", "200", "--repeats", "1", "--pcts", "10,100",
+                       "--out", str(folder / "boost.csv")])
+            assert rc == 0
+            err = capsys.readouterr().err.splitlines()
+            notes = [line for line in err if line.startswith("note: dropped")]
+            assert notes == ([f"note: dropped 47 duplicate keys from {dup_dir / 'k.bin'}"]
+                             if label == "dup" else []), label
+            rows[label] = [{c: r[c] for c in ("dataset_id", "dictionary_id", "model_id",
+                                              "model_param", "intervals", "routing_steps",
+                                              "space_overhead_pct", "order_sensitive")}
+                           for r in read_rows(folder / "boost.csv")]
+        assert rows["dup"] == rows["clean"]
+        assert {r["intervals"] for r in rows["dup"]} == {"1", "50", str(len(keys))}
+
     def test_bad_dictionary_id_lists_the_valid_ones(self, keyfile, capsys):
         rc = main(["bench-boost", "--dataset", str(keyfile), "--dicts", "nosuch",
                    "--queries", "10", "--repeats", "1"])
@@ -145,6 +173,23 @@ class TestBenchCommands:
         assert all(r["status"] == "ok" for r in rows)
         assert rows[0]["dataset_id"] == "uniform-n100-s0"
         assert float(rows[0]["ln4_n"]) == pytest.approx(float(rows[0]["ln_n"]) ** 4, rel=1e-4)
+
+    def test_delta_over_key_files(self, tmp_path):
+        """``--datasets`` takes comma-separated files, spaces around the
+        commas allowed: one row each, named by the file's stem, as
+        ``delta_report`` gives over the loaded key sets."""
+        paths = []
+        for name, keys in [("a", [3, 10, 12, 40]), ("b", [7]), ("c", [0, 2**63, MAX_KEY])]:
+            paths.append(tmp_path / f"{name}.bin")
+            save_keys(keys, paths[-1])
+        out, want = tmp_path / "delta.csv", tmp_path / "want.csv"
+        rc = main(["delta", "--datasets", f"{paths[0]} , {paths[1]},{paths[2]} ", "--out", str(out)])
+        assert rc == 0
+        write_csv(delta_report([(p.stem, load_keys(p).keys) for p in paths]), want)
+        assert out.read_bytes() == want.read_bytes()
+        rows = read_rows(out)
+        assert [r["dataset_id"] for r in rows] == ["a", "b", "c"]
+        assert [r["status"] for r in rows] == ["ok", "skipped_small_n", "ok"]
 
     def test_delta_with_no_inputs_exits_2(self, capsys):
         assert main(["delta"]) == 2

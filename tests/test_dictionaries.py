@@ -33,7 +33,9 @@ from dictboost.dynamic import DynamicBinDict
 from dictboost.segments import build_segments
 from dictboost.workloads import save_keys
 
-from conftest import TEN_KEYS, assert_matches_oracle, interesting_key_sets, mixed_queries
+from conftest import (
+    TEN_KEYS, assert_matches_oracle, held_bytes, interesting_key_sets, mixed_queries,
+)
 
 ALL_SPECS = ["bbs", "bfs", "bfe", "bft:2", "bft:8", "is", "css:3", "css:16", "splay"]
 
@@ -249,11 +251,19 @@ class TestUniformBinarySearch:
 
 class TestEytzinger:
     def test_frozen_layout_of_small_powers(self):
-        assert EytzingerSearch.build([1, 2, 3])._layout == [2, 1, 3]
-        assert EytzingerSearch.build(list(range(1, 8)))._layout == [4, 2, 6, 1, 3, 5, 7]
-        assert EytzingerSearch.build(list(range(1, 16)))._layout == [
-            8, 4, 12, 2, 6, 10, 14, 1, 3, 5, 7, 9, 11, 13, 15,
-        ]
+        """The layout is a read-only uint64 buffer in Eytzinger order, and
+        the rank table beside it a uint8 buffer of each slot's rank."""
+        for keys, layout in [
+            ([1, 2, 3], [2, 1, 3]),
+            (list(range(1, 8)), [4, 2, 6, 1, 3, 5, 7]),
+            (list(range(1, 16)), [8, 4, 12, 2, 6, 10, 14, 1, 3, 5, 7, 9, 11, 13, 15]),
+        ]:
+            d = EytzingerSearch.build(keys)
+            assert d._layout.readonly and d._ranks.readonly
+            assert np.asarray(d._layout).dtype == np.uint64
+            assert np.asarray(d._ranks).dtype == np.uint8
+            assert d._layout.tolist() == layout
+            assert d._ranks.tolist() == [x - 1 for x in layout]
 
     def test_inorder_walk_recovers_sorted_keys(self):
         for n in [1, 2, 3, 6, 7, 12, 15, 31, 100]:
@@ -270,14 +280,12 @@ class TestEytzinger:
             assert list(e.inorder_positions()) == list(b.inorder_positions()), f"n={n}"
 
     def test_rank_table_is_the_overhead(self):
-        """The layout and the rank table are both lists of ints: a header,
-        a pointer and an int object per slot, beyond the key set's 8 bytes
-        a key."""
+        """The layout and the rank table are the overhead: 8 bytes a slot
+        for the layout and 1 for the rank, a uint8 at 10 keys, beyond the
+        key set's 8 bytes a key."""
         d = EytzingerSearch.build(TEN_KEYS)
-        n = len(TEN_KEYS)
-        held = 2 * (sys.getsizeof([]) + 8 * n) + sum(map(sys.getsizeof, TEN_KEYS + list(range(n))))
-        assert d.overhead_bytes() == held
-        assert d.space_bytes() == 8 * n + held
+        assert d.overhead_bytes() == held_bytes(d._layout.obj, d._ranks.obj) == 90
+        assert d.space_bytes() == 80 + 90
 
 
 class TestBlockTree:
@@ -297,11 +305,10 @@ class TestBlockTree:
     def test_space_counts_padding_and_ranks(self):
         """No padding: a partial last block holds just its keys."""
         d = BlockTreeSearch.build([1, 2, 3], block=8)
-        # layout [1, 2, 3] and rank table [0, 1, 2]: a list header, a
-        # pointer and an int per slot each
-        held = 2 * (sys.getsizeof([]) + 8 * 3) + sum(map(sys.getsizeof, [1, 2, 3, 0, 1, 2]))
-        assert d.overhead_bytes() == held
-        assert d.space_bytes() == 8 * 3 + held
+        # layout [1, 2, 3] as uint64 and rank table [0, 1, 2] as uint8
+        assert d._layout.tolist() == [1, 2, 3] and d._ranks.tolist() == [0, 1, 2]
+        assert d.overhead_bytes() == held_bytes(d._layout.obj, d._ranks.obj) == 3 * 8 + 3
+        assert d.space_bytes() == 8 * 3 + 27
 
 
 class TestCssTree:

@@ -188,14 +188,16 @@ def test_edge_windows_answer_every_integer_outside_the_keys(kind):
 
 def _overhead_bytes(kind, keys, starts):
     """Bytes a kind holds beyond the keys over the windows ``starts``,
-    counted from what it stores by ``sys.getsizeof``: a list costs its
-    header and a pointer per item, a dict its own size, and an int its
-    own.  ``bfe`` and ``bft`` hold a layout list of the keys and a list
-    of their ranks; ``splay`` a node and a key int per key, and a dict of
-    the non-empty windows' starts; ``css`` a dict of the windows longer
-    than the fanout, each with a list of separator levels, each
-    ``ceil(below / f)`` long, whose lowest level holds the maxima of the
-    window's key groups as ints of its own (a level above shares them)."""
+    counted from what it stores: a buffer its data, and by
+    ``sys.getsizeof`` a list its header and a pointer per item, a dict its
+    own size, and an int its own.  ``bfe`` and ``bft`` hold a uint64
+    layout of the keys and a buffer of their ranks of the narrowest
+    unsigned type that holds n; ``splay`` a node and a key int per key,
+    and a dict of the non-empty windows' starts; ``css`` a dict of the
+    windows longer than the fanout, each with a list of separator levels,
+    each ``ceil(below / f)`` long, whose lowest level holds the maxima of
+    the window's key groups as ints of its own (a level above shares
+    them)."""
     name, _, param = kind.partition(":")
     ks, n = keys.as_list(), len(keys)
     empty_list = sys.getsizeof([])
@@ -205,7 +207,7 @@ def _overhead_bytes(kind, keys, starts):
 
     windows = list(zip(starts, starts[1:]))
     if name in ("bfe", "bft"):
-        return 2 * (empty_list + 8 * n) + ints(ks) + ints(range(n))
+        return 8 * n + np.min_scalar_type(n).itemsize * n
     if name == "splay":
         roots = {lo: hi for lo, hi in windows if lo < hi}
         return n * sys.getsizeof(_Node(0)) + ints(ks) + sys.getsizeof(roots) + ints(roots)
@@ -320,10 +322,12 @@ def test_every_search_path_returns_a_plain_tuple():
 
 @pytest.mark.parametrize("kind", DICTIONARY_IDS)
 def test_models_pickle_and_copy(kind):
-    """A key set's view cannot be pickled, so a pickled or copied model
+    """A memoryview cannot be pickled, so a pickled or copied model
     rebuilds its dictionary over the copied key set, and a plain build
-    pickles the key set in place of its view; the copies answer every
-    query as the original does and report the same space."""
+    pickles the array behind each view it holds (the keys', and a layout
+    kind's layout and ranks) and reads a read-only view over the copy; the
+    copies answer every query as the original does and report the same
+    space."""
     keys = SortedKeySet([0, 3, 9, 20, 21, 40, 77, 1000, MAX_KEY], universe_hint=(0, MAX_KEY))
     copied = pickle.loads(pickle.dumps(keys))
     assert copied == keys and copied.universe_hint == keys.universe_hint
@@ -337,26 +341,32 @@ def test_models_pickle_and_copy(kind):
         for c in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
             assert type(c) is type(d) and c.space_bytes() == d.space_bytes(), label
             assert [c.rank_search(x) for x in queries] == want, label
+            inner, c_inner = getattr(d, "_dict", d), getattr(c, "_dict", c)
+            for name, v in vars(inner).items():
+                if isinstance(v, memoryview):
+                    held = getattr(c_inner, name)
+                    assert held.readonly and held.format == v.format and held == v, (label, name)
         assert [d.rank_search(x) for x in queries] == want, label
 
 
 def test_models_hold_no_per_key_object(monkeypatch):
     """A binned model (k = n/10, uniform keys) and a segmented one (eps 16,
     clustered keys) take at most 16 bytes per key in all, the 8-byte key
-    array included: a list of one int object per key alone would take
-    over 40."""
+    array included, and over a layout kind 12 more, its uint64 copy of the
+    keys and a uint32 rank: a list of one int object per key alone would
+    take over 40."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
     from perfbench.timing import structure_bytes
 
     n = 100_000
-    models = {
-        "binning": build_binning(gen_uniform(n, 2**44, seed=11), n // 10, "bbs"),
-        "segments": build_segments(
-            gen_clustered(n, outlier_fraction=0.001, seed=12, spread=1000), 16, "bbs"),
-    }
-    for label, d in models.items():
-        per_key = structure_bytes(d) / n
-        assert per_key <= 16, f"{label}: {per_key:.1f} bytes per key"
+    uniform = gen_uniform(n, 2**44, seed=11)
+    clustered = gen_clustered(n, outlier_fraction=0.001, seed=12, spread=1000)
+    for kind, bound in [("bbs", 16), ("bfe", 28), ("bft:8", 28)]:
+        models = {"binning": build_binning(uniform, n // 10, kind),
+                  "segments": build_segments(clustered, 16, kind)}
+        for label, d in models.items():
+            per_key = structure_bytes(d) / n
+            assert per_key <= bound, f"{kind} {label}: {per_key:.1f} bytes per key"
 
 
 @pytest.mark.parametrize("model, param", [("binning", 100_000), ("segments", 4), ("segments", 16)])
@@ -398,12 +408,13 @@ def test_kind_bytes_are_what_a_walk_finds(kind):
 
 @pytest.mark.parametrize("n", [200, 60_000, 70_000])
 def test_rank_table_is_the_narrowest_unsigned_type(n):
-    """Both models keep their rank table as ``np.min_scalar_type(n)``
-    (uint8, uint16 and uint32 here), read as plain ints: over keys at
-    both u64 ends, their answers at the extremes, at window edges and at
-    sampled keys equal ``np.searchsorted``'s, also after a pickle and a
-    ``deepcopy``.  ``bin_starts`` still returns int64, and the table owns
-    its entries' width in bytes each, by ``sys.getsizeof``."""
+    """Both models keep their rank table, and a plain ``bfe`` its layout's
+    rank buffer, as ``np.min_scalar_type(n)`` (uint8, uint16 and uint32
+    here), read as plain ints: over keys at both u64 ends, their answers
+    at the extremes, at window edges and at sampled keys equal
+    ``np.searchsorted``'s, also after a pickle and a ``deepcopy``.
+    ``bin_starts`` still returns int64, and each table owns its entries'
+    width in bytes each, by ``sys.getsizeof``."""
     rng = np.random.default_rng(n)
     arr = np.unique(np.concatenate([
         np.array([0, 1, MAX_KEY - 1, MAX_KEY], dtype=np.uint64),
@@ -412,13 +423,20 @@ def test_rank_table_is_the_narrowest_unsigned_type(n):
     keys = SortedKeySet(arr)
     width = np.min_scalar_type(n)
     assert bin_starts(keys, n // 10).dtype == np.int64
-    models = {"binning": build_binning(keys, n // 10), "segments": build_segments(keys, 16)}
-    for label, d in models.items():
-        starts = np.asarray(d._starts)
-        assert starts.dtype == width and starts[-1] == n, label
-        assert type(d._starts[-1]) is int, label
-        # window edges: the keys on either side of every boundary, sampled
-        edges = np.unique(starts[1:-1])[:: max(1, len(starts) // 500)]
+    builds = {"binning": (build_binning(keys, n // 10), "_starts"),
+              "segments": (build_segments(keys, 16), "_starts"),
+              "bfe": (make_builder("bfe")[1](keys), "_ranks")}
+    for label, (d, field) in builds.items():
+        table = getattr(d, field)
+        values = np.asarray(table)
+        assert values.dtype == width and type(table[-1]) is int, label
+        if field == "_ranks":  # a permutation of the ranks
+            assert np.array_equal(np.sort(values), np.arange(n)), label
+            edges = rng.integers(0, n, 50)
+        else:
+            assert values[0] == 0 and values[-1] == n, label
+            # window edges: the keys on either side of every boundary, sampled
+            edges = np.unique(values[1:-1])[:: max(1, len(values) // 500)]
         ranks = np.unique(np.concatenate([edges, edges - 1, rng.integers(0, n, 500), [0, n - 1]]))
         inside = [int(arr[r]) + dx for r in ranks.tolist() for dx in (-1, 0, 1)]
         inside = [x for x in inside if 0 <= x <= MAX_KEY]
@@ -427,8 +445,7 @@ def test_rank_table_is_the_narrowest_unsigned_type(n):
         want += [(0, False), (n, False), (n, False)]
         probes = inside + [-1, 2**64, 2**70]
         for c in (d, pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
-            assert np.asarray(c._starts).dtype == width, label
+            assert np.asarray(getattr(c, field)).dtype == width, label
             assert [c.rank_search(x) for x in probes] == want, label
-        table = d._starts.obj
-        assert table.base is None, label
-        assert sys.getsizeof(table) - sys.getsizeof(np.empty(0, width)) == len(starts) * width.itemsize
+        assert table.obj.base is None, label
+        assert sys.getsizeof(table.obj) - sys.getsizeof(np.empty(0, width)) == values.nbytes, label
